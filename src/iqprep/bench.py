@@ -18,10 +18,10 @@ import time
 from dataclasses import dataclass
 
 from iqprep.colorspace import ChannelSet, ColorMatrix, builtin_matrix
-from iqprep.downsample import OpCounter, compute_factor
+from iqprep.downsample import DownsampleSpec, OpCounter, compute_factor
 from iqprep.image import synth_image
 from iqprep.metrics import MetricConfig, score
-from iqprep.pipeline import StageOps, Strategy, run_convert_first, run_downsample_first
+from iqprep.pipeline import StageOps, Strategy, preprocess
 
 __all__ = [
     "PipelineConfig",
@@ -97,18 +97,14 @@ class BenchReport:
 
 
 _STRATEGIES = (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
-_RUNNERS = {
-    Strategy.CONVERT_FIRST: run_convert_first,
-    Strategy.DOWNSAMPLE_FIRST: run_downsample_first,
-}
 
 
-def _evaluate(ref, dst, config: PipelineConfig, strategy: Strategy) -> StageOps:
+def _evaluate(
+    ref, dst, config: PipelineConfig, strategy: Strategy, spec: DownsampleSpec
+) -> StageOps:
     """One full metric evaluation; returns the combined stage counters."""
-    runner = _RUNNERS[strategy]
-    spec = compute_factor(ref.height, ref.width)
-    pre_ref = runner(ref, config.matrix, config.channels, spec)
-    pre_dst = runner(dst, config.matrix, config.channels, spec)
+    pre_ref = preprocess(ref, config.matrix, config.channels, strategy, spec)
+    pre_dst = preprocess(dst, config.matrix, config.channels, strategy, spec)
     score(pre_ref, pre_dst, config.metric)
     return pre_ref.ops + pre_dst.ops
 
@@ -135,15 +131,15 @@ def run_bench(
         label = f"{height}x{width}"
         ref = synth_image(height, width, seed)
         dst = synth_image(height, width, seed + 1)
-        factor = compute_factor(height, width).factor
+        spec = compute_factor(height, width)
         for config in pipelines:
             timed: dict[Strategy, tuple[float, float, float, StageOps]] = {}
             for strategy in _STRATEGIES:
-                ops = _evaluate(ref, dst, config, strategy)  # warm-up, untimed
+                ops = _evaluate(ref, dst, config, strategy, spec)  # warm-up, untimed
                 elapsed = []
                 for _ in range(reps):
                     start = time.perf_counter()
-                    _evaluate(ref, dst, config, strategy)
+                    _evaluate(ref, dst, config, strategy, spec)
                     elapsed.append((time.perf_counter() - start) * 1e3)
                 if min(elapsed) <= 0.0:
                     raise RuntimeError("timer returned a non-positive duration")
@@ -166,7 +162,7 @@ def run_bench(
                         ms_max=ms_max,
                         conversion=ops.conversion,
                         filtering=ops.filtering,
-                        factor=factor,
+                        factor=spec.factor,
                         speedup=speedup,
                     )
                 )

@@ -14,13 +14,7 @@ from iqprep.colorspace import ChannelSet, builtin_matrix
 from iqprep.downsample import compute_factor
 from iqprep.image import PnmParseError, load_pnm, synth_image
 from iqprep.metrics import MetricConfig, score
-from iqprep.pipeline import Strategy, preprocess, select_strategy, verify_equivalence
-
-_STRATEGY_CHOICES = {
-    "auto": Strategy.AUTO,
-    "convert-first": Strategy.CONVERT_FIRST,
-    "downsample-first": Strategy.DOWNSAMPLE_FIRST,
-}
+from iqprep.pipeline import Strategy, preprocess, verify_equivalence
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -68,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scorer.add_argument("--dst", required=True, help="distorted image (binary PNM, P6)")
     scorer.add_argument(
         "--strategy",
-        choices=sorted(_STRATEGY_CHOICES),
+        choices=sorted(s.value for s in Strategy),
         default="auto",
         help="stage ordering (default: auto)",
     )
@@ -85,11 +79,10 @@ def _cmd_bench(args) -> int:
     if args.reps < 3:
         print("error: --reps must be at least 3", file=sys.stderr)
         return 2
-    sizes = args.sizes if isinstance(args.sizes, list) else _parse_size_list(args.sizes)
-    if not sizes:
+    if not args.sizes:
         print("error: --sizes must name at least one HxW size", file=sys.stderr)
         return 2
-    records = run_bench(sizes, seed=args.seed, reps=args.reps)
+    records = run_bench(args.sizes, seed=args.seed, reps=args.reps)
     report = emit_report(records)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -103,7 +96,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.tol <= 0:
+    if not args.tol > 0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
     try:
@@ -123,18 +116,19 @@ def _cmd_verify(args) -> int:
         for name, diff in report.per_channel.items():
             per_channel[name] = max(diff, per_channel.get(name, 0.0))
 
-    config = MetricConfig()
-    score_cf = score(
-        preprocess(ref, matrix, channels, Strategy.CONVERT_FIRST, spec),
-        preprocess(dst, matrix, channels, Strategy.CONVERT_FIRST, spec),
-        config,
-    )
-    score_df = score(
-        preprocess(ref, matrix, channels, Strategy.DOWNSAMPLE_FIRST, spec),
-        preprocess(dst, matrix, channels, Strategy.DOWNSAMPLE_FIRST, spec),
-        config,
-    )
-    score_delta = abs(score_cf.value - score_df.value)
+    try:
+        score_cf, score_df = (
+            score(
+                preprocess(ref, matrix, channels, strategy, spec),
+                preprocess(dst, matrix, channels, strategy, spec),
+                MetricConfig(),
+            ).value
+            for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    score_delta = abs(score_cf - score_df)
 
     print(f"size {height}x{width}  matrix {matrix.name}  M {spec.factor}  tol {args.tol:g}")
     print("max |convert-first - downsample-first| per channel:")
@@ -163,14 +157,14 @@ def _cmd_score(args) -> int:
         return 2
 
     channels = ChannelSet.luma_only() if args.luma_only else ChannelSet.all_channels()
-    spec = compute_factor(ref.height, ref.width)
-    strategy = _STRATEGY_CHOICES[args.strategy]
-    if strategy is Strategy.AUTO:
-        strategy = select_strategy(channels, spec)
-
-    pre_ref = preprocess(ref, matrix, channels, strategy, spec)
-    pre_dst = preprocess(dst, matrix, channels, strategy, spec)
-    result = score(pre_ref, pre_dst, MetricConfig())
+    strategy = Strategy(args.strategy)
+    pre_ref = preprocess(ref, matrix, channels, strategy)
+    pre_dst = preprocess(dst, matrix, channels, strategy)
+    try:
+        result = score(pre_ref, pre_dst, MetricConfig())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ops = pre_ref.ops + pre_dst.ops
 
     print(f"score {result.value:.9f}")
@@ -179,7 +173,7 @@ def _cmd_score(args) -> int:
         print(f"  chroma1  {result.chroma1:.9f}")
     if result.chroma2 is not None:
         print(f"  chroma2  {result.chroma2:.9f}")
-    print(f"strategy {strategy.value}  M {spec.factor}")
+    print(f"strategy {pre_ref.plan.strategy.value}  M {pre_ref.plan.spec.factor}")
     print(f"conversion ops: {ops.conversion.multiplies} mul, {ops.conversion.adds} add")
     print(f"filtering ops:  {ops.filtering.multiplies} mul, {ops.filtering.adds} add")
     return 0

@@ -18,7 +18,9 @@ channel count.
 
 Every run carries exact multiply/add counters for both stages alongside
 the closed-form predictions, so the cost claims are checkable without a
-stopwatch.
+stopwatch. :func:`plan_pipeline` is the only place that defaults the
+factor M and resolves ``Strategy.AUTO``; every entry point then runs its
+plan through one executor.
 """
 
 from __future__ import annotations
@@ -188,6 +190,32 @@ def plan_pipeline(
     )
 
 
+def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
+    """Run the ordering ``plan.strategy`` names and count both stages."""
+    conversion = OpCounter()
+    filtering = OpCounter()
+    if plan.strategy is Strategy.CONVERT_FIRST:
+        converted = transform(*to_planes(image), plan.matrix, plan.channels, counter=conversion)
+        luma, chroma1, chroma2 = (
+            block_mean_decimate(p, plan.spec, counter=filtering) if p is not None else None
+            for p in converted
+        )
+    else:
+        reduced_rgb = [
+            block_mean_decimate(p, plan.spec, counter=filtering) for p in to_planes(image)
+        ]
+        luma, chroma1, chroma2 = transform(
+            *reduced_rgb, plan.matrix, plan.channels, counter=conversion
+        )
+    return PreprocessedChannels(
+        luma=luma,
+        chroma1=chroma1,
+        chroma2=chroma2,
+        plan=plan,
+        ops=StageOps(conversion=conversion, filtering=filtering),
+    )
+
+
 def run_convert_first(
     image: RgbImage8,
     matrix: ColorMatrix,
@@ -198,21 +226,7 @@ def run_convert_first(
     plan = plan_pipeline(
         image.height, image.width, matrix, channels, spec=spec, strategy=Strategy.CONVERT_FIRST
     )
-    conversion = OpCounter()
-    filtering = OpCounter()
-    red, green, blue = to_planes(image)
-    converted = transform(red, green, blue, matrix, channels, counter=conversion)
-    reduced = tuple(
-        block_mean_decimate(p, plan.spec, counter=filtering) if p is not None else None
-        for p in converted
-    )
-    return PreprocessedChannels(
-        luma=reduced[0],
-        chroma1=reduced[1],
-        chroma2=reduced[2],
-        plan=plan,
-        ops=StageOps(conversion=conversion, filtering=filtering),
-    )
+    return _execute(plan, image)
 
 
 def run_downsample_first(
@@ -225,25 +239,7 @@ def run_downsample_first(
     plan = plan_pipeline(
         image.height, image.width, matrix, channels, spec=spec, strategy=Strategy.DOWNSAMPLE_FIRST
     )
-    conversion = OpCounter()
-    filtering = OpCounter()
-    reduced_rgb = tuple(
-        block_mean_decimate(p, plan.spec, counter=filtering) for p in to_planes(image)
-    )
-    converted = transform(*reduced_rgb, matrix, channels, counter=conversion)
-    return PreprocessedChannels(
-        luma=converted[0],
-        chroma1=converted[1],
-        chroma2=converted[2],
-        plan=plan,
-        ops=StageOps(conversion=conversion, filtering=filtering),
-    )
-
-
-_RUNNERS = {
-    Strategy.CONVERT_FIRST: run_convert_first,
-    Strategy.DOWNSAMPLE_FIRST: run_downsample_first,
-}
+    return _execute(plan, image)
 
 
 def preprocess(
@@ -253,12 +249,9 @@ def preprocess(
     strategy: Strategy = Strategy.AUTO,
     spec: DownsampleSpec | None = None,
 ) -> PreprocessedChannels:
-    """Plan and execute the front-end, resolving AUTO via :func:`select_strategy`."""
-    if spec is None:
-        spec = compute_factor(image.height, image.width)
-    if strategy is Strategy.AUTO:
-        strategy = select_strategy(channels, spec)
-    return _RUNNERS[strategy](image, matrix, channels, spec)
+    """Plan and execute the front-end; :func:`plan_pipeline` resolves AUTO and M."""
+    plan = plan_pipeline(image.height, image.width, matrix, channels, spec=spec, strategy=strategy)
+    return _execute(plan, image)
 
 
 @dataclass(frozen=True)
@@ -284,7 +277,7 @@ def verify_equivalence(
     of up to 64-term block sums on 0..255 inputs with coefficients of
     order one; it is configurable for adversarial matrices.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     first = run_convert_first(image, matrix, channels, spec)
     second = run_downsample_first(image, matrix, channels, spec)

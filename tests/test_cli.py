@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iqprep.cli import main
+from iqprep.cli import _build_parser, main
 from iqprep.image import synth_image, write_pnm
 
 
@@ -41,9 +41,17 @@ def test_verify_impossible_tolerance_fails(capsys):
 
 
 def test_verify_zero_tolerance_is_rejected(capsys):
-    code, _, err = run_cli(capsys, "verify", "--size", "64x64", "--tol", "0")
+    for tol in ("0", "nan"):
+        code, _, err = run_cli(capsys, "verify", "--size", "64x64", "--tol", tol)
+        assert code == 2
+        assert "positive" in err
+
+
+def test_verify_reduced_plane_under_3x3_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--size", "2x5")
     assert code == 2
-    assert "positive" in err
+    assert "error: gradient similarity needs planes of at least 3x3" in err
+    assert "PASS" not in out and "FAIL" not in out
 
 
 def test_verify_unknown_matrix(capsys):
@@ -96,6 +104,17 @@ def test_score_dimension_mismatch(capsys, tmp_path):
     assert "dimensions differ" in err
 
 
+def test_score_reduced_plane_under_3x3_is_input_error(capsys, tmp_path):
+    ref = tmp_path / "ref.ppm"
+    dst = tmp_path / "dst.ppm"
+    write_pnm(synth_image(2, 5, 1), ref)
+    write_pnm(synth_image(2, 5, 2), dst)
+    code, out, err = run_cli(capsys, "score", "--ref", str(ref), "--dst", str(dst))
+    assert code == 2
+    assert "error: gradient similarity needs planes of at least 3x3" in err
+    assert out == ""
+
+
 def test_score_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.ppm"
     bad.write_bytes(b"P6\n4 4\n255\nshort")
@@ -119,6 +138,11 @@ def test_bench_writes_csv_and_markdown(capsys, tmp_path):
     assert "# Strategy run-time comparison" in out
     assert "## Ranking (fastest first)" in out
     assert f"CSV written to {out_path}" in out
+
+
+def test_bench_default_sizes_are_parsed():
+    args = _build_parser().parse_args(["bench"])
+    assert args.sizes == [(384, 512), (1080, 1920), (2160, 3840)]
 
 
 def test_bench_rejects_bad_size_syntax(capsys):

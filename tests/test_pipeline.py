@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iqprep.colorspace import IDENTITY_MATRIX, ChannelSet, ColorMatrix, builtin_matrices, builtin_matrix
-from iqprep.downsample import DownsampleSpec
+from iqprep.downsample import DownsampleSpec, compute_factor
 from iqprep.image import synth_image, to_planes
 from iqprep.pipeline import (
     PipelinePlan,
@@ -49,7 +49,9 @@ def test_counter_examples_2x2_image():
     assert cf.ops.conversion.multiplies == df.ops.conversion.multiplies * 4
 
 
-@pytest.mark.parametrize("strategy", [Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST])
+@pytest.mark.parametrize(
+    "strategy", [Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST, Strategy.AUTO]
+)
 @pytest.mark.parametrize("factor", [1, 2, 3])
 def test_predictions_match_instrumented_counts(strategy, factor):
     rng = np.random.default_rng(factor)
@@ -57,12 +59,20 @@ def test_predictions_match_instrumented_counts(strategy, factor):
         height, width = int(rng.integers(factor, 20)), int(rng.integers(factor, 20))
         img = synth_image(height, width, 5)
         spec = DownsampleSpec(factor)
-        runner = run_convert_first if strategy is Strategy.CONVERT_FIRST else run_downsample_first
-        result = runner(img, builtin_matrix("lmn"), channels, spec)
-        predicted = predict_ops(height, width, channels, spec, strategy)
+        if strategy is Strategy.AUTO:
+            result = preprocess(img, builtin_matrix("lmn"), channels, strategy, spec)
+            assert result.plan.strategy is select_strategy(channels, spec)
+        else:
+            runner = (
+                run_convert_first if strategy is Strategy.CONVERT_FIRST else run_downsample_first
+            )
+            result = runner(img, builtin_matrix("lmn"), channels, spec)
+            assert result.plan.strategy is strategy
+        predicted = predict_ops(height, width, channels, spec, result.plan.strategy)
         assert result.ops.conversion == predicted.conversion
         assert result.ops.filtering == predicted.filtering
         assert result.plan.predicted == predicted
+        assert result.ops == result.plan.predicted == predicted
 
 
 def test_strategies_agree_on_384x512_seed42():
@@ -159,6 +169,15 @@ def test_preprocess_resolves_auto():
     luma_auto = preprocess(img, builtin_matrix("yiq"), LUMA, Strategy.AUTO, spec)
     assert luma_auto.plan.strategy is Strategy.CONVERT_FIRST
 
+    # with no spec, the planner defaults M from the size rule
+    img = synth_image(384, 512, 8)
+    sized = preprocess(img, builtin_matrix("yiq"))
+    assert sized.plan.spec == compute_factor(384, 512)
+    assert sized.plan.strategy is Strategy.DOWNSAMPLE_FIRST
+    explicit = run_downsample_first(img, builtin_matrix("yiq"))
+    for a, b in zip(sized.planes, explicit.planes):
+        assert np.array_equal(a, b)
+
 
 def test_plan_defaults_to_size_rule_and_rejects_auto():
     plan = plan_pipeline(384, 512, builtin_matrix("yiq"))
@@ -179,8 +198,9 @@ def test_plan_defaults_to_size_rule_and_rejects_auto():
 
 def test_verify_equivalence_rejects_bad_tolerance():
     img = synth_image(8, 8, 1)
-    with pytest.raises(ValueError, match="positive"):
-        verify_equivalence(img, IDENTITY_MATRIX, ALL, DownsampleSpec(1), tolerance=0.0)
+    for tolerance in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            verify_equivalence(img, IDENTITY_MATRIX, ALL, DownsampleSpec(1), tolerance=tolerance)
 
 
 def test_equivalence_randomized_channel_subsets():
