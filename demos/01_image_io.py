@@ -31,8 +31,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print("file bytes:", first.read_bytes()[:15], "...")
     print("round trip byte-identical:", first.read_bytes() == second.read_bytes())
 
-# Processing happens on float64 planes that keep the 0..255 range, so
-# integer sample values survive the conversion exactly.
+# float64 planes keep the 0..255 range, so integer sample values survive
+# the conversion exactly. (The pipeline itself reads the uint8 channels
+# directly and never needs these full-resolution copies.)
 red_plane, green_plane, blue_plane = to_planes(img)
 print("planes dtype:", red_plane.dtype)
 print("values preserved:", np.array_equal(red_plane.astype(np.uint8), img.red))

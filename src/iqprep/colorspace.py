@@ -8,7 +8,9 @@ there) and user-supplied files with the same grammar load the same way.
 
 Per output channel the evaluation order is fixed as
 ``(c1*R + c2*G) + c3*B`` so independent implementations agree bit for bit
-in the common case.
+in the common case. Input planes may be uint8 or float; each product is
+formed in float64 straight from the input, so 8-bit planes give the same
+bits as their float64 casts without a full-resolution float copy of them.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ def transform(
     Parameters
     ----------
     red, green, blue : ndarray
-      Input planes of identical shape.
+      Input planes of identical shape, uint8 or float; products are
+      formed in float64.
     matrix : ColorMatrix
       Conversion coefficients.
     channels : ChannelSet
@@ -120,22 +123,21 @@ def transform(
     -------
     (luma, chroma1, chroma2) : tuple of ndarray or None
     """
-    r = np.asarray(red, dtype=np.float64)
-    g = np.asarray(green, dtype=np.float64)
-    b = np.asarray(blue, dtype=np.float64)
+    r, g, b = np.asarray(red), np.asarray(green), np.asarray(blue)
     if not (r.shape == g.shape == b.shape):
         raise ValueError(
             f"channel planes must share dimensions, got {r.shape}, {g.shape}, {b.shape}"
         )
     out: list[np.ndarray | None] = [None, None, None]
     n = r.size
+    term = np.empty(r.shape, dtype=np.float64)  # reused for the c2*G and c3*B products
     for row, wanted in enumerate(channels.flags):
         if not wanted:
             continue
         c = matrix.coefficients[row]
-        plane = c[0] * r
-        plane += c[1] * g
-        plane += c[2] * b
+        plane = np.multiply(r, c[0], dtype=np.float64)
+        plane += np.multiply(g, c[1], out=term, dtype=np.float64)
+        plane += np.multiply(b, c[2], out=term, dtype=np.float64)
         if counter is not None:
             counter.record(multiplies=3 * n, adds=2 * n)
         out[row] = plane

@@ -10,9 +10,13 @@ Two implementations of the same reduction are kept on purpose:
   filtered image at stride M from the origin. It exists as an
   independent oracle for the fused path and is not instrumented.
 
-Both accumulate the M^2 in-block samples in the same fixed row-major
-order and scale by the same reciprocal, so on identical input they agree
-bit for bit, not merely within tolerance.
+On float planes both accumulate the M^2 in-block samples in the same
+fixed row-major order and scale by the same reciprocal, so on identical
+input they agree bit for bit, not merely within tolerance. 8-bit planes
+take an integer path in :func:`block_mean_decimate`: every partial block
+sum is an integer of at most M^2 * 255, exact in any order, so it sums
+rows first (the cheap order) and the result still equals the float path
+on the same values bit for bit.
 
 Boundary policy (fixed in v1): trailing rows/columns that do not fill a
 complete block are dropped, with the block grid anchored at (0, 0). This
@@ -88,8 +92,8 @@ def compute_factor(height: int, width: int) -> DownsampleSpec:
     return DownsampleSpec(factor=max(1, factor))
 
 
-def _as_plane(plane: np.ndarray) -> np.ndarray:
-    p = np.asarray(plane, dtype=np.float64)
+def _as_plane(plane: np.ndarray, dtype: type | None = np.float64) -> np.ndarray:
+    p = np.asarray(plane, dtype=dtype)
     if p.ndim != 2:
         raise ValueError(f"expected a 2-D plane, got shape {p.shape}")
     return p
@@ -104,17 +108,21 @@ def block_mean_decimate(
 
     Output dimensions are ``(h // M, w // M)``; output sample (i, j) is the
     arithmetic mean of the input block with top-left corner (i*M, j*M).
-    The M^2 block samples are accumulated in row-major order and scaled
-    once by 1/M^2, which costs M^2 - 1 adds and 1 multiply per output
-    sample; ``counter``, when given, is incremented by exactly that.
+    The M^2 block samples are summed and scaled once by 1/M^2, which costs
+    M^2 - 1 adds and 1 multiply per output sample; ``counter``, when
+    given, is incremented by exactly that. Float planes are summed in
+    row-major block order. uint8 planes are summed exactly in the smallest
+    unsigned integer type that holds M^2 * 255, rows of each block first
+    and then columns; since every partial sum is exact, the float64 result
+    equals the float path on the same values bit for bit.
 
     Parameters
     ----------
     plane : ndarray
-      2-D float64 input plane.
+      2-D input plane, uint8 or anything that converts to float64.
     spec : DownsampleSpec
-      Reduction factor M. With M = 1 the input is returned unchanged and
-      nothing is counted.
+      Reduction factor M. With M = 1 the input is returned unchanged
+      (uint8 input as a float64 copy) and nothing is counted.
     counter : OpCounter, optional
       Receives the multiply/add tally of this call.
 
@@ -128,8 +136,9 @@ def block_mean_decimate(
     ValueError
       If the plane is smaller than M in either axis (for M > 1).
     """
-    p = _as_plane(plane)
     m = spec.factor
+    integer = m > 1 and np.asarray(plane).dtype == np.uint8
+    p = _as_plane(plane, None if integer else np.float64)
     if m == 1:
         return p
     h, w = p.shape
@@ -137,19 +146,42 @@ def block_mean_decimate(
     if out_h == 0 or out_w == 0:
         raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
     trimmed = p[: out_h * m, : out_w * m]
-    # Fixed row-major accumulation over the block, seeded with the (0, 0)
-    # sample: m*m - 1 vectorized adds over the output grid.
-    acc = trimmed[0::m, 0::m].copy()
-    for k in range(m):
-        for l in range(m):
-            if k == 0 and l == 0:
-                continue
-            acc += trimmed[k::m, l::m]
-    out = acc * (1.0 / (m * m))
+    if integer:
+        out = _integer_block_mean(trimmed, m)
+    else:
+        # Fixed row-major accumulation over the block, seeded with the
+        # (0, 0) sample: m*m - 1 vectorized adds over the output grid.
+        acc = trimmed[0::m, 0::m].copy()
+        for k in range(m):
+            for l in range(m):
+                if k == 0 and l == 0:
+                    continue
+                acc += trimmed[k::m, l::m]
+        out = acc * (1.0 / (m * m))
     if counter is not None:
         n_out = out_h * out_w
         counter.record(multiplies=n_out, adds=(m * m - 1) * n_out)
     return out
+
+
+def _integer_block_mean(trimmed: np.ndarray, m: int) -> np.ndarray:
+    """Block means of a uint8 plane whose sides are multiples of ``m``.
+
+    The M rows of each block are added first, over contiguous full-width
+    rows (M(M-1) adds per output sample), then the M columns of the
+    M-times narrower row sums (M-1 adds). Every partial sum is an integer
+    of at most M^2 * 255 and fits ``acc_t``, so the sums are exact.
+    """
+    acc_t = np.min_scalar_type(m * m * 255)
+    cols = trimmed[0::m].astype(acc_t)
+    for k in range(1, m):
+        cols += trimmed[k::m]
+    acc = cols[:, 0::m].copy()
+    for l in range(1, m):
+        acc += cols[:, l::m]
+    # The explicit dtype keeps value-based casting (numpy < 2) from
+    # narrowing the result below float64.
+    return np.multiply(acc, 1.0 / (m * m), dtype=np.float64)
 
 
 def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:

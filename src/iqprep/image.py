@@ -5,9 +5,13 @@ Conventions used throughout the package:
 * An ``RgbImage8`` stores 8-bit samples in planar layout: one ``(height,
   width)`` uint8 array per channel. Planar storage keeps per-channel
   processing and per-channel operation counting straightforward.
-* A *plane* is a 2-D C-contiguous ``float64`` array. Sample values keep the
-  0..255 range of the source image (no rescaling to [0, 1]), so 8-bit
-  samples stay integer-exact in doubles.
+* A *plane* is a 2-D array: either an 8-bit channel as stored, or a
+  C-contiguous ``float64`` array. Sample values keep the 0..255 range of
+  the source image (no rescaling to [0, 1]), so 8-bit samples stay
+  integer-exact in doubles. The pipeline reads the uint8 channels
+  directly: the reduction sums them exactly in integers and the color
+  transform forms its float64 products from them, so no full-resolution
+  float copy of a channel is made; :func:`to_planes` makes one on request.
 * The only on-disk format is binary PNM (P6) with maxval 255; it is
   trivially bit-exact and needs no external decoder.
 """
@@ -173,13 +177,17 @@ _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
+# Samples generated per step of synth_image. Each costs some 24 bytes of
+# uint64 temporaries, so a step stays within a few MB whatever the image
+# size; much larger steps raise the peak of small images instead.
+_SYNTH_CHUNK = 1 << 16
 
 
-def _splitmix64(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` SplitMix64 outputs for ``seed``, as uint64."""
+def _splitmix64(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """SplitMix64 outputs ``start`` to ``start + count - 1`` for ``seed``, as uint64."""
     with np.errstate(over="ignore"):
         state = np.uint64(seed & _U64_MASK) + _SM64_GAMMA * np.arange(
-            1, count + 1, dtype=np.uint64
+            start + 1, start + count + 1, dtype=np.uint64
         )
         z = (state ^ (state >> np.uint64(30))) * _SM64_MIX1
         z = (z ^ (z >> np.uint64(27))) * _SM64_MIX2
@@ -193,7 +201,8 @@ def synth_image(height: int, width: int, seed: int) -> RgbImage8:
     is the top byte of one 64-bit output. Samples fill the red channel in
     row-major order, then green, then blue, so the result is a pure
     function of ``(height, width, seed)`` with identical bytes on every
-    platform.
+    platform. The stream is generated in fixed-size steps into one uint8
+    buffer, so memory stays near the size of the image itself.
 
     Parameters
     ----------
@@ -208,8 +217,11 @@ def synth_image(height: int, width: int, seed: int) -> RgbImage8:
     """
     if height < 1 or width < 1:
         raise ValueError(f"image dimensions must be >= 1, got {height}x{width}")
-    words = _splitmix64(seed, 3 * height * width)
-    samples = (words >> np.uint64(56)).astype(np.uint8)
+    total = 3 * height * width
+    samples = np.empty(total, dtype=np.uint8)
+    for start in range(0, total, _SYNTH_CHUNK):
+        count = min(_SYNTH_CHUNK, total - start)
+        samples[start : start + count] = _splitmix64(seed, count, start) >> np.uint64(56)
     planes = samples.reshape(3, height, width)
     return RgbImage8(
         height=height,

@@ -38,7 +38,7 @@ from iqprep.downsample import (
     compute_factor,
     count_decimate_ops,
 )
-from iqprep.image import RgbImage8, to_planes
+from iqprep.image import RgbImage8
 
 __all__ = [
     "Strategy",
@@ -195,14 +195,14 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     conversion = OpCounter()
     filtering = OpCounter()
     if plan.strategy is Strategy.CONVERT_FIRST:
-        converted = transform(*to_planes(image), plan.matrix, plan.channels, counter=conversion)
+        converted = transform(*image.channels, plan.matrix, plan.channels, counter=conversion)
         luma, chroma1, chroma2 = (
             block_mean_decimate(p, plan.spec, counter=filtering) if p is not None else None
             for p in converted
         )
     else:
         reduced_rgb = [
-            block_mean_decimate(p, plan.spec, counter=filtering) for p in to_planes(image)
+            block_mean_decimate(p, plan.spec, counter=filtering) for p in image.channels
         ]
         luma, chroma1, chroma2 = transform(
             *reduced_rgb, plan.matrix, plan.channels, counter=conversion

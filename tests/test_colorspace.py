@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from iqprep.colorspace import (
     transform,
 )
 from iqprep.downsample import OpCounter
+from iqprep.image import synth_image, to_planes
 
 
 def _planes(rng, height, width):
@@ -126,6 +129,24 @@ def test_unrequested_channels_not_computed():
     luma, c1, c2 = transform(r, g, b, builtin_matrix("yiq"), ChannelSet.luma_only(), counter)
     assert luma is not None and c1 is None and c2 is None
     assert counter.multiplies == 3 * 9  # scales with k = 1, not 3
+
+
+@pytest.mark.parametrize("matrix", [IDENTITY_MATRIX, *builtin_matrices()], ids=lambda m: m.name)
+def test_uint8_input_matches_float_planes(matrix):
+    img = synth_image(23, 31, 6)
+    for flags in itertools.product((True, False), repeat=3):
+        if not any(flags):
+            continue
+        channels = ChannelSet(*flags)
+        int_counter, float_counter = OpCounter(), OpCounter()
+        from_uint8 = transform(*img.channels, matrix, channels, int_counter)
+        from_float = transform(*to_planes(img), matrix, channels, float_counter)
+        for a, b in zip(from_uint8, from_float):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == np.float64
+                assert np.array_equal(a, b), (matrix.name, flags)
+        assert int_counter == float_counter
 
 
 def test_dimension_mismatch_raises():

@@ -88,6 +88,8 @@ def test_plane_smaller_than_filter_raises(shape):
         block_mean_decimate(np.zeros(shape), DownsampleSpec(2))
     with pytest.raises(ValueError, match="smaller"):
         separate_filter_then_decimate(np.zeros(shape), DownsampleSpec(2))
+    with pytest.raises(ValueError, match="smaller"):
+        block_mean_decimate(np.zeros(shape, np.uint8), DownsampleSpec(2))
 
 
 @pytest.mark.parametrize(
@@ -183,3 +185,37 @@ def test_downsampling_is_linear(seed, alpha, beta, factor):
     combined = block_mean_decimate(alpha * a + beta * b, spec)
     separate = alpha * block_mean_decimate(a, spec) + beta * block_mean_decimate(b, spec)
     np.testing.assert_allclose(combined, separate, atol=1e-9, rtol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    height=st.integers(min_value=1, max_value=80),
+    width=st.integers(min_value=1, max_value=80),
+    factor=st.integers(min_value=1, max_value=20),
+)
+def test_uint8_kernel_equals_float_path(seed, height, width, factor):
+    # the integer block sums are exact, so the uint8 path must reproduce
+    # the float path's bits and its operation count, not just approximate it
+    plane = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+    spec = DownsampleSpec(factor)
+    if height < factor or width < factor:
+        with pytest.raises(ValueError, match="smaller"):
+            block_mean_decimate(plane, spec)
+        return
+    int_counter, float_counter = OpCounter(), OpCounter()
+    from_uint8 = block_mean_decimate(plane, spec, int_counter)
+    from_float = block_mean_decimate(plane.astype(np.float64), spec, float_counter)
+    assert from_uint8.dtype == np.float64
+    assert np.array_equal(from_uint8, from_float)
+    assert int_counter == float_counter
+
+
+@pytest.mark.parametrize("factor", [16, 17, 64])
+def test_uint8_all_255_blocks_do_not_overflow(factor):
+    # 16^2 * 255 is the largest block sum a uint16 accumulator holds;
+    # 17 and 64 need a wider one
+    plane = np.full((2 * factor + 1, 3 * factor), 255, dtype=np.uint8)
+    out = block_mean_decimate(plane, DownsampleSpec(factor))
+    assert out.shape == (2, 3)
+    assert np.all(out == 255.0)

@@ -17,6 +17,9 @@ from iqprep.image import (
 # SHA-256 over the planar R, G, B bytes of synth_image(8, 8, 42). Pins the
 # documented SplitMix64 fill so any change to the generator is loud.
 SYNTH_8X8_SEED42_SHA256 = "f841913191811d40eec1a4a8004822a317e004a00e1467084b15fa678b55b174"
+# The same for synth_image(300, 300, 42): 270000 samples, so the stream
+# crosses several of the generator's internal steps.
+SYNTH_300X300_SEED42_SHA256 = "cf5e3bcfaafcafd905a1f3e7b76ee56b32603a2351f656e7e056847105a9e985"
 
 RED_PIXEL_FILE = b"P6\n1 1\n255\n\xff\x00\x00"
 
@@ -147,6 +150,14 @@ def test_synth_frozen_digest():
         img.red.tobytes() + img.green.tobytes() + img.blue.tobytes()
     ).hexdigest()
     assert digest == SYNTH_8X8_SEED42_SHA256
+
+
+def test_synth_frozen_digest_across_steps():
+    img = synth_image(300, 300, 42)
+    digest = hashlib.sha256(
+        img.red.tobytes() + img.green.tobytes() + img.blue.tobytes()
+    ).hexdigest()
+    assert digest == SYNTH_300X300_SEED42_SHA256
 
 
 def test_synth_table_size_lands_on_factor_two():

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from iqprep.colorspace import IDENTITY_MATRIX, ChannelSet, ColorMatrix, builtin_matrices, builtin_matrix
-from iqprep.downsample import DownsampleSpec, compute_factor
+from iqprep.colorspace import (
+    IDENTITY_MATRIX,
+    ChannelSet,
+    ColorMatrix,
+    builtin_matrices,
+    builtin_matrix,
+    transform,
+)
+from iqprep.downsample import DownsampleSpec, block_mean_decimate, compute_factor
 from iqprep.image import synth_image, to_planes
 from iqprep.pipeline import (
     PipelinePlan,
@@ -217,3 +224,28 @@ def test_equivalence_randomized_channel_subsets():
         )
         assert report.passed, (height, width, factor, channels)
         assert set(report.per_channel) == set(channels.names())
+
+
+@pytest.mark.parametrize("strategy", [Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST])
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_preprocess_equals_literal_float_composition(strategy, factor):
+    # the pipeline reads the uint8 channels directly; it must give the
+    # bits of the float64 composition spelled out stage by stage
+    img = synth_image(29, 37, factor)
+    matrix = builtin_matrix("yiq")
+    spec = DownsampleSpec(factor)
+    for channels in CHANNEL_SETS:
+        result = preprocess(img, matrix, channels, strategy, spec)
+        if strategy is Strategy.CONVERT_FIRST:
+            expected = [
+                block_mean_decimate(p, spec) if p is not None else None
+                for p in transform(*to_planes(img), matrix, channels)
+            ]
+        else:
+            expected = transform(
+                *(block_mean_decimate(p, spec) for p in to_planes(img)), matrix, channels
+            )
+        for got, want in zip(result.planes, expected):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got, want), (strategy, factor, channels)
