@@ -10,9 +10,11 @@ after the reduction.
 
 from iqprep import (
     ChannelSet,
+    Strategy,
     builtin_matrix,
     compute_factor,
     plan_pipeline,
+    predict_ops,
     run_convert_first,
     run_downsample_first,
     synth_image,
@@ -29,8 +31,8 @@ for height, width in [(384, 512), (1080, 1920), (2160, 3840)]:
     df = run_downsample_first(img, matrix, channels, spec)
 
     # instrumented counts equal the attached predictions, always
-    assert cf.ops.conversion == cf.plan.predicted_convert_first.conversion
-    assert df.ops.conversion == df.plan.predicted_downsample_first.conversion
+    assert cf.ops == cf.plan.predicted
+    assert df.ops == df.plan.predicted
     # and the filtering work is identical: three full-resolution passes
     assert cf.ops.filtering == df.ops.filtering
 
@@ -40,10 +42,11 @@ for height, width in [(384, 512), (1080, 1920), (2160, 3840)]:
         f" {df.ops.conversion.multiplies:>16,} {ratio:>5.0f}x"
     )
 
-# Plans carry both predictions, so the trade-off is visible without
-# running anything: here a luminance-only metric at M=4.
+# predict_ops gives either order's counts, so the trade-off is visible
+# without running anything: here a luminance-only metric at M=4.
 plan = plan_pipeline(1080, 1920, matrix, ChannelSet.luma_only())
 print("\nluminance-only at 1080x1920 resolves to:", plan.strategy.value)
-print("  convert-first   filtering adds:", plan.predicted_convert_first.filtering.adds)
-print("  downsample-first filtering adds:", plan.predicted_downsample_first.filtering.adds)
+for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+    ops = predict_ops(1080, 1920, plan.channels, plan.spec, strategy)
+    print(f"  {strategy.value:15} filtering adds:", ops.filtering.adds)
 print("(downsample-first would filter three RGB planes instead of one)")

@@ -169,33 +169,6 @@ def run_bench(
     return records
 
 
-def _sizes_in_order(records: list[BenchRecord]) -> list[str]:
-    seen: list[str] = []
-    for record in records:
-        if record.size_label not in seen:
-            seen.append(record.size_label)
-    return seen
-
-
-def _pipelines_in_order(records: list[BenchRecord]) -> list[str]:
-    seen: list[str] = []
-    for record in records:
-        if record.pipeline not in seen:
-            seen.append(record.pipeline)
-    return seen
-
-
-def _lookup(records: list[BenchRecord], size: str, pipeline: str, strategy: Strategy):
-    for record in records:
-        if (
-            record.size_label == size
-            and record.pipeline == pipeline
-            and record.strategy is strategy
-        ):
-            return record
-    return None
-
-
 def _ranking(records: list[BenchRecord], size: str, strategy: Strategy) -> tuple[str, ...]:
     rows = [r for r in records if r.size_label == size and r.strategy is strategy]
     rows.sort(key=lambda r: (r.ms_median, r.pipeline))  # name breaks exact ties
@@ -214,8 +187,11 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
     """
     if not records:
         raise ValueError("emit_report needs at least one record")
-    sizes = _sizes_in_order(records)
-    pipelines = _pipelines_in_order(records)
+    cells: dict[tuple[str, str, Strategy], BenchRecord] = {}
+    for record in records:  # the first record of a cell wins
+        cells.setdefault((record.size_label, record.pipeline, record.strategy), record)
+    sizes = list(dict.fromkeys(r.size_label for r in records))
+    pipelines = list(dict.fromkeys(r.pipeline for r in records))
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -257,8 +233,8 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
     for pipeline in pipelines:
         row = f"| {pipeline} |"
         for size in sizes:
-            cf = _lookup(records, size, pipeline, Strategy.CONVERT_FIRST)
-            df = _lookup(records, size, pipeline, Strategy.DOWNSAMPLE_FIRST)
+            cf = cells.get((size, pipeline, Strategy.CONVERT_FIRST))
+            df = cells.get((size, pipeline, Strategy.DOWNSAMPLE_FIRST))
             cf_ms = cf.ms_median if cf else float("nan")
             df_ms = df.ms_median if df else float("nan")
             cf_mark = "*" if cf and df and cf_ms < df_ms else ""
@@ -272,7 +248,7 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
     for size in sizes:
         parts = []
         for pipeline in pipelines:
-            record = _lookup(records, size, pipeline, Strategy.CONVERT_FIRST)
+            record = cells.get((size, pipeline, Strategy.CONVERT_FIRST))
             if record is not None:
                 parts.append(f"{pipeline} {record.speedup:.3f}")
         lines.append(f"- {size}: " + ", ".join(parts))

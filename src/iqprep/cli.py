@@ -14,7 +14,7 @@ from iqprep.colorspace import ChannelSet, builtin_matrix
 from iqprep.downsample import compute_factor
 from iqprep.image import PnmParseError, load_pnm, synth_image
 from iqprep.metrics import MetricConfig, score
-from iqprep.pipeline import Strategy, preprocess, verify_equivalence
+from iqprep.pipeline import Strategy, channel_differences, preprocess
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -82,7 +82,11 @@ def _cmd_bench(args) -> int:
     if not args.sizes:
         print("error: --sizes must name at least one HxW size", file=sys.stderr)
         return 2
-    records = run_bench(args.sizes, seed=args.seed, reps=args.reps)
+    try:
+        records = run_bench(args.sizes, seed=args.seed, reps=args.reps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = emit_report(records)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -110,21 +114,20 @@ def _cmd_verify(args) -> int:
     ref = synth_image(height, width, args.seed)
     dst = synth_image(height, width, args.seed + 1)
 
-    per_channel: dict[str, float] = {}
-    for image in (ref, dst):
-        report = verify_equivalence(image, matrix, channels, spec, tolerance=args.tol)
-        for name, diff in report.per_channel.items():
-            per_channel[name] = max(diff, per_channel.get(name, 0.0))
+    # each image is preprocessed once per ordering; the same four results
+    # give the channel differences and the two scores
+    cf_ref, cf_dst, df_ref, df_dst = (
+        preprocess(image, matrix, channels, strategy, spec)
+        for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+        for image in (ref, dst)
+    )
+    per_channel = channel_differences(cf_ref, df_ref)
+    for name, diff in channel_differences(cf_dst, df_dst).items():
+        per_channel[name] = max(diff, per_channel[name])
 
     try:
-        score_cf, score_df = (
-            score(
-                preprocess(ref, matrix, channels, strategy, spec),
-                preprocess(dst, matrix, channels, strategy, spec),
-                MetricConfig(),
-            ).value
-            for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
-        )
+        score_cf = score(cf_ref, cf_dst, MetricConfig()).value
+        score_df = score(df_ref, df_dst, MetricConfig()).value
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

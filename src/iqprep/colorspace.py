@@ -175,7 +175,11 @@ def parse_matrix_config(text: str, source: str = "<config>") -> list[ColorMatrix
             values = [float(tok) for tok in fields[1:]]
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad coefficient: {exc}") from None
-        matrices.append(ColorMatrix(name=name, coefficients=np.array(values).reshape(3, 3)))
+        try:
+            matrix = ColorMatrix(name=name, coefficients=np.array(values).reshape(3, 3))
+        except ValueError as exc:  # non-finite coefficients
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
+        matrices.append(matrix)
     return matrices
 
 

@@ -52,6 +52,7 @@ __all__ = [
     "run_convert_first",
     "run_downsample_first",
     "preprocess",
+    "channel_differences",
     "verify_equivalence",
 ]
 
@@ -80,30 +81,22 @@ class StageOps:
 
 @dataclass(frozen=True)
 class PipelinePlan:
-    """A resolved execution plan plus predicted costs for both orderings.
+    """A resolved execution plan plus the predicted cost of executing it.
 
-    The prediction for the resolved strategy equals the instrumented
-    counters of a subsequent execution exactly; the alternative ordering's
-    prediction is kept for reporting, so callers can second-guess the
-    selector.
+    ``predicted`` equals the instrumented counters of a subsequent
+    execution exactly. The other ordering's counts come from
+    :func:`predict_ops`, so callers can second-guess the selector.
     """
 
     strategy: Strategy
     channels: ChannelSet
     spec: DownsampleSpec
     matrix: ColorMatrix
-    predicted_convert_first: StageOps
-    predicted_downsample_first: StageOps
+    predicted: StageOps
 
     def __post_init__(self) -> None:
         if self.strategy is Strategy.AUTO:
             raise ValueError("a plan must carry a resolved strategy, not AUTO")
-
-    @property
-    def predicted(self) -> StageOps:
-        if self.strategy is Strategy.CONVERT_FIRST:
-            return self.predicted_convert_first
-        return self.predicted_downsample_first
 
 
 @dataclass(frozen=True)
@@ -136,8 +129,8 @@ def select_strategy(channels: ChannelSet, spec: DownsampleSpec) -> Strategy:
     returned. Total and deterministic; never returns AUTO.
 
     The k = 2 case is a conservative heuristic, not an optimum: the true
-    crossover depends on relative filter/convert costs. The attached
-    predictions let callers override.
+    crossover depends on relative filter/convert costs. :func:`predict_ops`
+    gives either ordering's counts, so callers can override.
     """
     if spec.factor == 1 or channels.count < 3:
         return Strategy.CONVERT_FIRST
@@ -173,7 +166,7 @@ def plan_pipeline(
     spec: DownsampleSpec | None = None,
     strategy: Strategy = Strategy.AUTO,
 ) -> PipelinePlan:
-    """Resolve strategy and factor for an image size and attach cost predictions."""
+    """Resolve strategy and factor for an image size and predict the plan's cost."""
     if spec is None:
         spec = compute_factor(height, width)
     if strategy is Strategy.AUTO:
@@ -183,10 +176,7 @@ def plan_pipeline(
         channels=channels,
         spec=spec,
         matrix=matrix,
-        predicted_convert_first=predict_ops(height, width, channels, spec, Strategy.CONVERT_FIRST),
-        predicted_downsample_first=predict_ops(
-            height, width, channels, spec, Strategy.DOWNSAMPLE_FIRST
-        ),
+        predicted=predict_ops(height, width, channels, spec, strategy),
     )
 
 
@@ -223,10 +213,7 @@ def run_convert_first(
     spec: DownsampleSpec | None = None,
 ) -> PreprocessedChannels:
     """Conventional order: transform at full resolution, then reduce each channel."""
-    plan = plan_pipeline(
-        image.height, image.width, matrix, channels, spec=spec, strategy=Strategy.CONVERT_FIRST
-    )
-    return _execute(plan, image)
+    return preprocess(image, matrix, channels, Strategy.CONVERT_FIRST, spec)
 
 
 def run_downsample_first(
@@ -236,10 +223,7 @@ def run_downsample_first(
     spec: DownsampleSpec | None = None,
 ) -> PreprocessedChannels:
     """Suggested order: reduce the three RGB planes, then transform the small ones."""
-    plan = plan_pipeline(
-        image.height, image.width, matrix, channels, spec=spec, strategy=Strategy.DOWNSAMPLE_FIRST
-    )
-    return _execute(plan, image)
+    return preprocess(image, matrix, channels, Strategy.DOWNSAMPLE_FIRST, spec)
 
 
 def preprocess(
@@ -264,6 +248,17 @@ class EquivalenceReport:
     passed: bool
 
 
+def channel_differences(
+    first: PreprocessedChannels, second: PreprocessedChannels
+) -> dict[str, float]:
+    """Largest per-sample ``|first - second|`` of each channel the results hold."""
+    return {
+        name: float(np.max(np.abs(a - b)))
+        for name, a, b in zip(("luma", "chroma1", "chroma2"), first.planes, second.planes)
+        if a is not None
+    }
+
+
 def verify_equivalence(
     image: RgbImage8,
     matrix: ColorMatrix,
@@ -279,13 +274,10 @@ def verify_equivalence(
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    first = run_convert_first(image, matrix, channels, spec)
-    second = run_downsample_first(image, matrix, channels, spec)
-    per_channel: dict[str, float] = {}
-    for name, a, b in zip(("luma", "chroma1", "chroma2"), first.planes, second.planes):
-        if a is None:
-            continue
-        per_channel[name] = float(np.max(np.abs(a - b)))
+    per_channel = channel_differences(
+        run_convert_first(image, matrix, channels, spec),
+        run_downsample_first(image, matrix, channels, spec),
+    )
     worst = max(per_channel.values())
     return EquivalenceReport(
         per_channel=per_channel,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iqprep import pipeline
 from iqprep.cli import _build_parser, main
 from iqprep.image import synth_image, write_pnm
 
@@ -52,6 +53,20 @@ def test_verify_reduced_plane_under_3x3_is_input_error(capsys):
     assert code == 2
     assert "error: gradient similarity needs planes of at least 3x3" in err
     assert "PASS" not in out and "FAIL" not in out
+
+
+def test_verify_preprocesses_each_image_once_per_ordering(capsys, monkeypatch):
+    calls = []
+    execute = pipeline._execute
+
+    def counting(plan, image):
+        calls.append(plan.strategy)
+        return execute(plan, image)
+
+    monkeypatch.setattr(pipeline, "_execute", counting)
+    code, out, _ = run_cli(capsys, "verify", "--size", "64x64")
+    assert code == 0 and "PASS" in out
+    assert sorted(s.value for s in calls) == ["convert-first"] * 2 + ["downsample-first"] * 2
 
 
 def test_verify_unknown_matrix(capsys):
@@ -138,6 +153,17 @@ def test_bench_writes_csv_and_markdown(capsys, tmp_path):
     assert "# Strategy run-time comparison" in out
     assert "## Ranking (fastest first)" in out
     assert f"CSV written to {out_path}" in out
+
+
+def test_bench_reduced_plane_under_3x3_is_input_error(capsys, tmp_path):
+    out_path = tmp_path / "report.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--sizes", "2x5", "--reps", "3", "--out", str(out_path)
+    )
+    assert code == 2
+    assert "error: gradient similarity needs planes of at least 3x3" in err
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_bench_default_sizes_are_parsed():

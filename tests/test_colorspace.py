@@ -189,6 +189,8 @@ def test_parse_matrix_config_grammar():
         ("onlyname 1 2 3", "9 coefficients"),
         ("m 1 2 3 4 5 6 7 8 oops", "bad coefficient"),
         ("dup 1 0 0 0 1 0 0 0 1\ndup 1 0 0 0 1 0 0 0 1", "duplicate"),
+        ("m 1 2 3 4 5 6 7 8 nan", "non-finite"),
+        ("m inf 0 0 0 1 0 0 0 1", "non-finite"),
     ],
 )
 def test_parse_matrix_config_errors_name_line(line, message):
@@ -203,6 +205,10 @@ def test_load_matrix_file(tmp_path):
     (matrix,) = load_matrix_file(path)
     assert matrix.name == "gray"
     assert matrix.coefficients[0, 0] == 0.5
+    path.write_text("# comment\ngray 0.5 0.25 nan  0 0 0  0 0 0\n")
+    with pytest.raises(ValueError, match="non-finite") as excinfo:
+        load_matrix_file(path)
+    assert f"{path}:2:" in str(excinfo.value)
 
 
 def test_builtin_matrix_lookup():

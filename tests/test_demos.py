@@ -1,6 +1,7 @@
-"""The quick demos run end to end; the minute-long benchmark demo is left out."""
+"""Every demo runs end to end; the benchmark demo at small sizes only."""
 
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,13 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_benchmark_demo_runs_at_small_sizes(capsys, monkeypatch):
+    script = DEMOS / "05_benchmark.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "16x16", "24x16"])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "# Strategy run-time comparison" in out
+    assert "| yiq-luma |" in out
+    assert "- 24x16: yiq-full " in out

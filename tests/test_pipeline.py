@@ -196,8 +196,7 @@ def test_plan_defaults_to_size_rule_and_rejects_auto():
             channels=ALL,
             spec=DownsampleSpec(1),
             matrix=IDENTITY_MATRIX,
-            predicted_convert_first=plan.predicted_convert_first,
-            predicted_downsample_first=plan.predicted_downsample_first,
+            predicted=plan.predicted,
         )
     with pytest.raises(ValueError, match="AUTO"):
         predict_ops(4, 4, ALL, DownsampleSpec(1), Strategy.AUTO)
