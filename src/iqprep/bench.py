@@ -125,13 +125,19 @@ def run_bench(
         raise ValueError(f"need at least 3 repetitions for a median, got {reps}")
     if pipelines is None:
         pipelines = default_pipelines()
+    specs = [compute_factor(height, width) for height, width in sizes]
+    # Every pipeline scores a gradient map, which needs a 3x3 reduced plane;
+    # reject a size too small for it before any other size is timed.
+    for (height, width), spec in zip(sizes, specs):
+        reduced = (height // spec.factor, width // spec.factor)
+        if min(reduced) < 3:
+            raise ValueError(f"gradient similarity needs planes of at least 3x3, got {reduced}")
 
     records: list[BenchRecord] = []
-    for height, width in sizes:
+    for (height, width), spec in zip(sizes, specs):
         label = f"{height}x{width}"
         ref = synth_image(height, width, seed)
         dst = synth_image(height, width, seed + 1)
-        spec = compute_factor(height, width)
         for config in pipelines:
             timed: dict[Strategy, tuple[float, float, float, StageOps]] = {}
             for strategy in _STRATEGIES:

@@ -16,6 +16,12 @@ fewer pixels. When fewer than three channels are needed, convert-first
 filters fewer planes instead, which is why the selector keys on the
 channel count.
 
+Convert-first runs in row bands of whole M x M blocks, about 2^16 samples
+each: a band is converted and then reduced while its float64 planes are
+still in cache, so no full-resolution float plane is built. Each output
+sample sees the same operations in the same order as whole-plane calls,
+so the outputs are bit-identical and the counters unchanged.
+
 Every run carries exact multiply/add counters for both stages alongside
 the closed-form predictions, so the cost claims are checkable without a
 stopwatch. :func:`plan_pipeline` is the only place that defaults the
@@ -180,16 +186,43 @@ def plan_pipeline(
     )
 
 
+# A convert-first band holds about this many samples (whole blocks only),
+# so its converted float64 planes stay in cache until they are reduced.
+_BAND_SAMPLES = 1 << 16
+
+
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
-    """Run the ordering ``plan.strategy`` names and count both stages."""
+    """Run the ordering ``plan.strategy`` names and count both stages.
+
+    Convert-first works one row band at a time. A band is a multiple of M
+    rows holding about ``_BAND_SAMPLES`` samples, and the last band also
+    takes the ``h % M`` trailing rows, which are converted but fall outside
+    every block. Each band goes through :func:`transform` and then
+    :func:`block_mean_decimate` into its rows of the preallocated outputs.
+    Every output sample sees the same operations in the same order as
+    whole-plane calls, so outputs and counters are identical to them, but
+    no full-resolution float64 plane is ever built.
+    """
     conversion = OpCounter()
     filtering = OpCounter()
     if plan.strategy is Strategy.CONVERT_FIRST:
-        converted = transform(*image.channels, plan.matrix, plan.channels, counter=conversion)
-        luma, chroma1, chroma2 = (
-            block_mean_decimate(p, plan.spec, counter=filtering) if p is not None else None
-            for p in converted
-        )
+        m = plan.spec.factor
+        h, w = image.height, image.width
+        # Rows of whole blocks. An image shorter or narrower than M goes
+        # through as one band, so block_mean_decimate's error names the
+        # whole plane.
+        whole = h - h % m if w >= m else 0
+        step = m * max(1, _BAND_SAMPLES // (m * w))
+        outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
+        for a in range(0, max(whole, 1), step):
+            b = a + step if a + step < whole else h
+            band = transform(
+                *(c[a:b] for c in image.channels), plan.matrix, plan.channels, counter=conversion
+            )
+            for out, plane in zip(outputs, band):
+                if out is not None:
+                    out[a // m : b // m] = block_mean_decimate(plane, plan.spec, counter=filtering)
+        luma, chroma1, chroma2 = outputs
     else:
         reduced_rgb = [
             block_mean_decimate(p, plan.spec, counter=filtering) for p in image.channels

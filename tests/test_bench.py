@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from iqprep import bench
 from iqprep.bench import (
     BenchRecord,
     default_pipelines,
@@ -86,6 +87,14 @@ def test_m1_size_has_identical_counters_across_strategies():
 def test_reps_validation():
     with pytest.raises(ValueError, match="at least 3"):
         run_bench([(8, 8)], reps=2)
+
+
+def test_too_small_size_is_rejected_before_any_timing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "_evaluate", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"at least 3x3, got \(2, 5\)"):
+        run_bench([(64, 64), (2, 5)], reps=3)
+    assert calls == []
 
 
 def test_single_record_csv():

@@ -157,13 +157,14 @@ def test_bench_writes_csv_and_markdown(capsys, tmp_path):
 
 def test_bench_reduced_plane_under_3x3_is_input_error(capsys, tmp_path):
     out_path = tmp_path / "report.csv"
-    code, out, err = run_cli(
-        capsys, "bench", "--sizes", "2x5", "--reps", "3", "--out", str(out_path)
-    )
-    assert code == 2
-    assert "error: gradient similarity needs planes of at least 3x3" in err
-    assert out == ""
-    assert not out_path.exists()
+    for sizes in ("2x5", "64x64,2x5"):  # a valid size first still writes nothing
+        code, out, err = run_cli(
+            capsys, "bench", "--sizes", sizes, "--reps", "3", "--out", str(out_path)
+        )
+        assert code == 2
+        assert "error: gradient similarity needs planes of at least 3x3, got (2, 5)" in err
+        assert out == ""
+        assert not out_path.exists()
 
 
 def test_bench_default_sizes_are_parsed():

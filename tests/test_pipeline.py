@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,3 +251,55 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
             assert (got is None) == (want is None)
             if got is not None:
                 assert np.array_equal(got, want), (strategy, factor, channels)
+
+
+@pytest.mark.parametrize(
+    "height, width, factor",
+    [
+        (301, 517, 3),  # three bands; h % M and w % M both non-zero
+        (9, 20000, 4),  # wider than 2^16 / M: every band is exactly M rows
+        (256, 1024, 4),  # rows divide evenly into four bands
+        (23, 31, 2),  # smaller than one band
+        (300, 700, 1),  # M = 1, four bands
+    ],
+)
+@pytest.mark.parametrize("name", ["identity", "yiq", "lmn"])
+def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, name):
+    # convert-first runs in row bands; across band edges it must still give
+    # the bits and counts of one whole-plane transform and reduction
+    img = synth_image(height, width, factor)
+    matrix = builtin_matrix(name)
+    spec = DownsampleSpec(factor)
+    for channels in CHANNEL_SETS:
+        result = preprocess(img, matrix, channels, Strategy.CONVERT_FIRST, spec)
+        expected = [
+            block_mean_decimate(p, spec) if p is not None else None
+            for p in transform(*img.channels, matrix, channels)
+        ]
+        for got, want in zip(result.planes, expected):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got, want), (height, width, factor, channels)
+        assert result.ops == result.plan.predicted
+
+
+@pytest.mark.parametrize("height, width", [(3, 50000), (40000, 3), (2, 2)])
+def test_convert_first_plane_smaller_than_filter_raises(height, width):
+    spec = DownsampleSpec(4)
+    with pytest.raises(ValueError) as whole_plane:
+        block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
+    img = synth_image(height, width, 1)
+    with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
+        preprocess(img, builtin_matrix("yiq"), LUMA, Strategy.CONVERT_FIRST, spec)
+
+
+def test_convert_first_never_holds_a_full_resolution_float_plane():
+    img = synth_image(1024, 2048, 5)
+    full_plane_bytes = 1024 * 2048 * 8
+    tracemalloc.start()
+    try:
+        preprocess(img, builtin_matrix("yiq"), LUMA, Strategy.CONVERT_FIRST, DownsampleSpec(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_plane_bytes
