@@ -100,6 +100,7 @@ def transform(
     matrix: ColorMatrix,
     channels: ChannelSet = ChannelSet.all_channels(),
     counter: OpCounter | None = None,
+    out: tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Apply the matrix rows pixelwise to the (R, G, B) planes.
 
@@ -118,30 +119,41 @@ def transform(
       Which of the three output rows to compute.
     counter : OpCounter, optional
       Receives the multiply/add tally of this call.
+    out : tuple of three ndarray or None, optional
+      Float64 arrays of the input shape, not overlapping the inputs, that
+      receive the requested channels slot for slot; a ``None`` slot gets
+      a new array. The values are the same bits either way.
 
     Returns
     -------
     (luma, chroma1, chroma2) : tuple of ndarray or None
+      The ``out`` arrays where given.
     """
     r, g, b = np.asarray(red), np.asarray(green), np.asarray(blue)
     if not (r.shape == g.shape == b.shape):
         raise ValueError(
             f"channel planes must share dimensions, got {r.shape}, {g.shape}, {b.shape}"
         )
-    out: list[np.ndarray | None] = [None, None, None]
+    result: list[np.ndarray | None] = [None, None, None]
+    given = out if out is not None else (None, None, None)
+    for slot in given:
+        if slot is not None and (slot.shape != r.shape or slot.dtype != np.float64):
+            raise ValueError(
+                f"out arrays must be float64 of shape {r.shape}, got {slot.dtype} {slot.shape}"
+            )
     n = r.size
     term = np.empty(r.shape, dtype=np.float64)  # reused for the c2*G and c3*B products
     for row, wanted in enumerate(channels.flags):
         if not wanted:
             continue
         c = matrix.coefficients[row]
-        plane = np.multiply(r, c[0], dtype=np.float64)
+        plane = np.multiply(r, c[0], out=given[row], dtype=np.float64)
         plane += np.multiply(g, c[1], out=term, dtype=np.float64)
         plane += np.multiply(b, c[2], out=term, dtype=np.float64)
         if counter is not None:
             counter.record(multiplies=3 * n, adds=2 * n)
-        out[row] = plane
-    return (out[0], out[1], out[2])
+        result[row] = plane
+    return (result[0], result[1], result[2])
 
 
 def count_transform_ops(height: int, width: int, channels: ChannelSet) -> OpCounter:

@@ -7,6 +7,13 @@ each chroma channel, combined with a configurable chroma exponent. They
 exist so that end-to-end score invariance under a front-end strategy swap
 is assertable on something realistic, not to compete on prediction
 accuracy.
+
+Both terms run in real float64 arithmetic on whole planes. The Prewitt
+responses come from 3-row and 3-column sums of an edge-padded plane, and
+the gradient term works on squared magnitudes, so it takes one square
+root per sample and holds at most four plane-sized arrays at once. The
+chroma exponent takes the real part of the principal-branch power in
+closed form, without a complex cast.
 """
 
 from __future__ import annotations
@@ -14,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+
+# Nothing here uses scipy any more. The bare import keeps it in
+# sys.modules, where the benchmark harness reads its version for the run
+# metadata; scipy.ndimage, which most of the import time went to, is not
+# loaded.
+import scipy  # noqa: F401
 
 from iqprep.pipeline import PreprocessedChannels
 
@@ -25,12 +37,6 @@ __all__ = [
     "chroma_similarity",
     "score",
 ]
-
-# Prewitt masks, 1/3-normalized as in the gradient-based IQA family;
-# applied by cross-correlation with replicate edges.
-_PREWITT_H = np.array([[1.0, 0.0, -1.0], [1.0, 0.0, -1.0], [1.0, 0.0, -1.0]]) / 3.0
-_PREWITT_V = _PREWITT_H.T
-
 
 @dataclass(frozen=True)
 class MetricConfig:
@@ -72,11 +78,35 @@ def _check_pair(ref: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
+def _squared_prewitt(plane: np.ndarray) -> np.ndarray:
+    """Squared magnitude of the two 1/3-normalized Prewitt responses.
+
+    The masks are correlated with replicate edges. Unscaled, the
+    horizontal response is the 3-row sum of the padded plane at column
+    j minus it at column j + 2, and the vertical one is the 3-column sum
+    at row i minus it at row i + 2. Squared and summed, they are scaled
+    once by 1/9. At most three plane-sized arrays are live at a time.
+    """
+    padded = np.pad(np.asarray(plane, dtype=np.float64), 1, mode="edge")
+    row_sums = padded[:-2] + padded[1:-1]
+    row_sums += padded[2:]
+    squared = row_sums[:, :-2] - row_sums[:, 2:]
+    del row_sums
+    squared *= squared
+    col_sums = padded[:, :-2] + padded[:, 1:-1]
+    col_sums += padded[:, 2:]
+    del padded
+    vertical = col_sums[:-2] - col_sums[2:]
+    del col_sums
+    vertical *= vertical
+    squared += vertical
+    squared /= 9.0
+    return squared
+
+
 def prewitt_magnitude(plane: np.ndarray) -> np.ndarray:
     """Gradient magnitude from the two Prewitt masks, replicate-edge padded."""
-    gh = ndimage.correlate(plane, _PREWITT_H, mode="nearest")
-    gv = ndimage.correlate(plane, _PREWITT_V, mode="nearest")
-    return np.sqrt(gh * gh + gv * gv)
+    return np.sqrt(_squared_prewitt(plane))
 
 
 def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = 160.0) -> np.ndarray:
@@ -93,16 +123,27 @@ def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = 1
     -------
     ndarray
       Per-pixel scores ``(2*g_r*g_d + c) / (g_r^2 + g_d^2 + c)``, each in
-      (0, 1], exactly 1 where the local gradients agree.
+      (0, 1], exactly 1 where the local gradients agree. They are formed
+      from the squared magnitudes ``G = g^2`` as
+      ``(2*sqrt(G_r*G_d) + c) / (G_r + G_d + c)``. ``sqrt(G*G)`` rounds
+      back to ``G`` (or, for ``G`` too small to square, to nothing ``c``
+      notices), so equal gradients still give exactly 1.
     """
     if not c > 0:
         raise ValueError(f"stability constant must be positive, got {c}")
     ref, dst = _check_pair(ref_luma, dst_luma)
     if ref.shape[0] < 3 or ref.shape[1] < 3:
         raise ValueError(f"gradient similarity needs planes of at least 3x3, got {ref.shape}")
-    g_ref = prewitt_magnitude(ref)
-    g_dst = prewitt_magnitude(dst)
-    return (2.0 * g_ref * g_dst + c) / (g_ref**2 + g_dst**2 + c)
+    sq_ref = _squared_prewitt(ref)
+    sq_dst = _squared_prewitt(dst)
+    similarity = np.multiply(sq_ref, sq_dst)
+    np.sqrt(similarity, out=similarity)
+    similarity *= 2.0
+    similarity += c
+    sq_ref += sq_dst
+    sq_ref += c
+    similarity /= sq_ref
+    return similarity
 
 
 def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray, t: float = 200.0) -> np.ndarray:
@@ -119,10 +160,15 @@ def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray, t: float =
 
 
 def _chroma_power(product: np.ndarray, weight: float) -> np.ndarray:
-    # Principal-branch power, real part: for a negative base this equals
-    # |x|^w * cos(pi*w), matching the real() convention the established
-    # metrics use for their chroma exponent; weight 0 gives exactly 1.
-    return np.power(product.astype(np.complex128), weight).real
+    # Real part of the principal-branch power x^w, the real() convention
+    # the established metrics use for their chroma exponent. For x >= 0
+    # (-0.0 included) it is |x|^w; for x < 0 it is |x|^w * cos(pi*w). Real
+    # arithmetic gives it without a complex128 copy of the plane, and
+    # weight 0 gives exactly 1 everywhere.
+    power = np.abs(product)
+    power **= weight
+    np.multiply(power, np.cos(np.pi * weight), out=power, where=product < 0)
+    return power
 
 
 def score(

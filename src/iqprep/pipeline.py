@@ -198,10 +198,11 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     rows holding about ``_BAND_SAMPLES`` samples, and the last band also
     takes the ``h % M`` trailing rows, which are converted but fall outside
     every block. Each band goes through :func:`transform` and then
-    :func:`block_mean_decimate` into its rows of the preallocated outputs.
-    Every output sample sees the same operations in the same order as
-    whole-plane calls, so outputs and counters are identical to them, but
-    no full-resolution float64 plane is ever built.
+    :func:`block_mean_decimate` into its rows of the preallocated outputs;
+    at M = 1, :func:`transform` writes into those rows itself. Every output
+    sample sees the same operations in the same order as whole-plane
+    calls, so outputs and counters are identical to them, but no
+    full-resolution float64 plane is ever built.
     """
     conversion = OpCounter()
     filtering = OpCounter()
@@ -216,9 +217,13 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
         for a in range(0, max(whole, 1), step):
             b = a + step if a + step < whole else h
-            band = transform(
-                *(c[a:b] for c in image.channels), plan.matrix, plan.channels, counter=conversion
-            )
+            rgb = (c[a:b] for c in image.channels)
+            if m == 1:
+                # Nothing to reduce: convert straight into the output rows.
+                rows = tuple(None if out is None else out[a:b] for out in outputs)
+                transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
+                continue
+            band = transform(*rgb, plan.matrix, plan.channels, counter=conversion)
             for out, plane in zip(outputs, band):
                 if out is not None:
                     out[a // m : b // m] = block_mean_decimate(plane, plan.spec, counter=filtering)

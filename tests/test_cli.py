@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,17 @@ def test_verify_preprocesses_each_image_once_per_ordering(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--size", "64x64")
     assert code == 0 and "PASS" in out
     assert sorted(s.value for s in calls) == ["convert-first"] * 2 + ["downsample-first"] * 2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    child = subprocess.run(
+        [sys.executable, "-m", "iqprep", "verify", "--size", "64x64", "--matrix", "lmn"],
+        capture_output=True,
+        text=True,
+    )
+    code, out, _ = run_cli(capsys, "verify", "--size", "64x64", "--matrix", "lmn")
+    assert child.returncode == code == 0
+    assert child.stdout == out and "PASS" in out
 
 
 def test_verify_unknown_matrix(capsys):

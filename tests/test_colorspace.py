@@ -149,6 +149,21 @@ def test_uint8_input_matches_float_planes(matrix):
         assert int_counter == float_counter
 
 
+def test_out_arrays_receive_the_same_bits():
+    img = synth_image(7, 9, 8)
+    matrix = builtin_matrix("lmn")
+    expected = transform(*img.channels, matrix)
+    given = (np.empty((7, 9)), None, np.full((7, 9), np.nan))
+    got = transform(*img.channels, matrix, out=given)
+    assert got[0] is given[0] and got[2] is given[2]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="float64 of shape"):
+        transform(*img.channels, matrix, out=(np.empty((7, 9), np.float32), None, None))
+    with pytest.raises(ValueError, match="float64 of shape"):
+        transform(*img.channels, matrix, out=(None, np.empty((9, 7)), None))
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="share dimensions"):
         transform(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)), IDENTITY_MATRIX)

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from iqprep.colorspace import ChannelSet, builtin_matrix
 from iqprep.downsample import DownsampleSpec, compute_factor
 from iqprep.image import synth_image
 from iqprep.metrics import (
     MetricConfig,
+    _chroma_power,
     chroma_similarity,
     gradient_similarity,
     prewitt_magnitude,
@@ -69,6 +74,40 @@ def test_prewitt_magnitude_against_brute_force():
         prewitt_magnitude(plane), brute_force_prewitt_magnitude(plane), atol=1e-12, rtol=0
     )
     assert abs(prewitt_magnitude(plane)[1, 1] - math.sqrt(40.0)) <= 1e-12
+
+
+def _random_planes(h, w, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 255.0, (h, w)), rng.uniform(0.0, 255.0, (h, w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=24),
+    st.integers(min_value=3, max_value=24),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_prewitt_and_gradient_similarity_against_brute_force(h, w, seed):
+    ref, dst = _random_planes(h, w, seed)
+    g_ref = brute_force_prewitt_magnitude(ref)
+    g_dst = brute_force_prewitt_magnitude(dst)
+    np.testing.assert_allclose(prewitt_magnitude(ref), g_ref, atol=1e-12, rtol=1e-12)
+    c = 160.0
+    expected = (2.0 * g_ref * g_dst + c) / (g_ref**2 + g_dst**2 + c)
+    np.testing.assert_allclose(gradient_similarity(ref, dst, c), expected, atol=1e-12, rtol=0)
+
+
+def test_gradient_similarity_peak_memory_at_270x480():
+    # The reduced luma of a 4K or 1080p pair is this size; scoring it
+    # should hold no more than four plane-sized float64 arrays at once.
+    ref, dst = _random_planes(270, 480, 13)
+    tracemalloc.start()
+    try:
+        gradient_similarity(ref, dst, 160.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * ref.nbytes
 
 
 def test_gradient_similarity_3x3_hand_check():
@@ -182,6 +221,60 @@ def test_negative_chroma_product_uses_real_power():
     gradient_mean = result.gradient
     # gradient map and weighting factor are independent here (constant chroma)
     assert abs(result.value - gradient_mean * expected_weighting) <= 1e-9
+
+
+def _complex_chroma_power(x, weight):
+    return np.power(x.astype(np.complex128), weight).real
+
+
+_SPECIAL_BASES = np.array([-2.0, -0.0, 0.0, 3.0, 1e-300, -1e-300, 5e-324, -5e-324, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
+def test_chroma_power_special_bases(weight):
+    got = _chroma_power(_SPECIAL_BASES, weight)
+    np.testing.assert_allclose(got, _complex_chroma_power(_SPECIAL_BASES, weight), rtol=1e-13, atol=0)
+    if weight == 0.0:
+        assert np.all(got == 1.0)
+
+
+# Below about 1e-100 the complex form, exp(w*log(z)), loses roughly
+# |w*ln|x||*eps of relative accuracy itself, so random bases stay above it.
+_bases = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e-100, max_value=1e-3),
+    st.floats(min_value=-1e-3, max_value=-1e-100),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(min_value=1, max_value=16), elements=_bases),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_chroma_power_matches_complex_principal_power(bases, weight):
+    got = _chroma_power(bases, weight)
+    np.testing.assert_allclose(got, _complex_chroma_power(bases, weight), rtol=1e-13, atol=0)
+    if weight == 0.0:
+        assert np.all(got == 1.0)
+
+
+@pytest.mark.parametrize(
+    "size, name, channels, expected",
+    [
+        # values computed with the scipy.ndimage Prewitt and complex128
+        # chroma power that the metric layer used before
+        ((384, 512), "lmn", ALL, (0.2685579405606601, 0.814169628499025)),
+        ((1080, 1920), "yiq", ChannelSet.luma_only(), (0.861355233329834, 0.861355233329834)),
+    ],
+)
+def test_frozen_scores(size, name, channels, expected):
+    matrix = builtin_matrix(name)
+    ref, dst = (preprocess(synth_image(*size, seed), matrix, channels) for seed in (1, 2))
+    result = score(ref, dst)
+    assert abs(result.value - expected[0]) <= 1e-12
+    assert abs(result.gradient - expected[1]) <= 1e-12
 
 
 def test_score_requires_matching_channel_sets():
