@@ -27,6 +27,7 @@ with a linear color transform score-preserving.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,9 @@ class DownsampleSpec:
     factor: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.factor, bool) or not hasattr(self.factor, "__index__"):
+            raise TypeError(f"downsample factor must be an integer, got {self.factor!r}")
+        object.__setattr__(self, "factor", operator.index(self.factor))
         if self.factor < 1:
             raise ValueError(f"downsample factor must be >= 1, got {self.factor}")
 

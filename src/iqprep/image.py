@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,25 +174,14 @@ def write_pnm(image: RgbImage8, path: str | os.PathLike) -> None:
 # SplitMix64 constants (Steele, Lea & Flood; the public-domain reference
 # generator). Chosen because it is tiny, has a closed-form i-th output, and
 # is exactly reproducible from integer ops alone on any platform.
-_SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
-# Samples generated per step of synth_image. Each costs some 24 bytes of
-# uint64 temporaries, so a step stays within a few MB whatever the image
-# size; much larger steps raise the peak of small images instead.
-_SYNTH_CHUNK = 1 << 16
-
-
-def _splitmix64(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """SplitMix64 outputs ``start`` to ``start + count - 1`` for ``seed``, as uint64."""
-    with np.errstate(over="ignore"):
-        state = np.uint64(seed & _U64_MASK) + _SM64_GAMMA * np.arange(
-            start + 1, start + count + 1, dtype=np.uint64
-        )
-        z = (state ^ (state >> np.uint64(30))) * _SM64_MIX1
-        z = (z ^ (z >> np.uint64(27))) * _SM64_MIX2
-        return z ^ (z >> np.uint64(31))
+# Samples generated per step of synth_image; a call holds three uint64
+# buffers of this length (768 KiB). 2**15 ties 2**16 with half the memory;
+# 2**14 is slower at 2160x3840 and 2**17 at every size measured.
+_SYNTH_CHUNK = 1 << 15
 
 
 def synth_image(height: int, width: int, seed: int) -> RgbImage8:
@@ -201,8 +191,8 @@ def synth_image(height: int, width: int, seed: int) -> RgbImage8:
     is the top byte of one 64-bit output. Samples fill the red channel in
     row-major order, then green, then blue, so the result is a pure
     function of ``(height, width, seed)`` with identical bytes on every
-    platform. The stream is generated in fixed-size steps into one uint8
-    buffer, so memory stays near the size of the image itself.
+    platform. The stream is generated in fixed-size steps in reused
+    buffers, so memory stays near the size of the image itself.
 
     Parameters
     ----------
@@ -219,9 +209,20 @@ def synth_image(height: int, width: int, seed: int) -> RgbImage8:
         raise ValueError(f"image dimensions must be >= 1, got {height}x{width}")
     total = 3 * height * width
     samples = np.empty(total, dtype=np.uint8)
-    for start in range(0, total, _SYNTH_CHUNK):
-        count = min(_SYNTH_CHUNK, total - start)
-        samples[start : start + count] = _splitmix64(seed, count, start) >> np.uint64(56)
+    step = min(_SYNTH_CHUNK, total)
+    # Output i has state seed + GAMMA * (i + 1), mod 2**64 as uint64 wraps.
+    offsets = np.uint64(_SM64_GAMMA) * np.arange(1, step + 1, dtype=np.uint64)
+    z, t = np.empty((2, step), dtype=np.uint64)
+    # The most significant byte of each uint64, in native byte order.
+    top = z.view(np.uint8)[7 if sys.byteorder == "little" else 0 :: 8]
+    for start in range(0, total, step):
+        np.add(offsets, np.uint64((seed + _SM64_GAMMA * start) & _U64_MASK), out=z)
+        for shift, mix in ((30, _SM64_MIX1), (27, _SM64_MIX2)):
+            np.right_shift(z, shift, out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, mix, out=z)
+        # The finaliser's last z ^ (z >> 31) cannot change bits 56-63.
+        samples[start : start + step] = top[: total - start]
     planes = samples.reshape(3, height, width)
     return RgbImage8(
         height=height,

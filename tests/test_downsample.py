@@ -113,6 +113,18 @@ def test_spec_validation():
         DownsampleSpec(0)
 
 
+@pytest.mark.parametrize("factor", [2.0, 2.5, True, np.bool_(True), "2"])
+def test_spec_rejects_non_integer_factor(factor):
+    with pytest.raises(TypeError, match="must be an integer"):
+        DownsampleSpec(factor)
+
+
+def test_spec_normalises_numpy_integer_factor():
+    spec = DownsampleSpec(np.int64(2))
+    assert spec == DownsampleSpec(2)
+    assert type(spec.factor) is int
+
+
 def test_counter_arithmetic():
     total = OpCounter(2, 3) + OpCounter(5, 7)
     assert (total.multiplies, total.adds) == (7, 10)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqprep.image import (
+    _SYNTH_CHUNK,
     PnmParseError,
     RgbImage8,
     load_pnm,
@@ -20,6 +22,15 @@ SYNTH_8X8_SEED42_SHA256 = "f841913191811d40eec1a4a8004822a317e004a00e1467084b15f
 # The same for synth_image(300, 300, 42): 270000 samples, so the stream
 # crosses several of the generator's internal steps.
 SYNTH_300X300_SEED42_SHA256 = "cf5e3bcfaafcafd905a1f3e7b76ee56b32603a2351f656e7e056847105a9e985"
+
+# The same, frozen from the generator before it ran in place, for the sizes
+# the benchmark and the acceptance tests generate.
+SYNTH_FROZEN_SHA256 = {
+    (1080, 1920, 1): "7011d5472b3d26f65eb8a267af2ce1248d232f7fde6166b2cde7041e0ba6978f",
+    (2160, 3840, 1): "ecee4933addadac61eb5dd2bf78d2be219e34d7cd7cab658fdb06c89eeff7412",
+    (384, 512, 2**64 - 1): "f73531f494785d9e2b95a443fd648bc3b448fb17c6f9922a3a2b42e81d1673aa",
+}
+U64 = 2**64 - 1
 
 RED_PIXEL_FILE = b"P6\n1 1\n255\n\xff\x00\x00"
 
@@ -209,3 +220,43 @@ def test_image_validation():
         RgbImage8(2, 2, np.zeros((2, 3), dtype=np.uint8), good, good)
     with pytest.raises(ValueError, match=">= 1"):
         RgbImage8(0, 2, good, good, good)
+
+
+def splitmix64_top_byte(seed, i):
+    """Top byte of SplitMix64 output ``i`` (from 0), in Python integers."""
+    z = (seed + 0x9E3779B97F4A7C15 * (i + 1)) & U64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & U64
+    return (z ^ (z >> 31)) >> 56
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1, 2**64 + 5])
+def test_synth_matches_reference_generator_at_step_boundaries(seed):
+    # One row of _SYNTH_CHUNK + 5 pixels: 3 full steps and a ragged fourth.
+    img = synth_image(1, _SYNTH_CHUNK + 5, seed)
+    samples = np.concatenate([chan.ravel() for chan in img.channels])
+    total = samples.size
+    assert total > 3 * _SYNTH_CHUNK
+    indices = {0, total - 1}
+    for boundary in range(_SYNTH_CHUNK, total, _SYNTH_CHUNK):
+        indices |= {boundary - 1, boundary, boundary + 1}
+    for i in sorted(indices):
+        assert samples[i] == splitmix64_top_byte(seed, i), i
+
+
+@pytest.mark.parametrize("args", list(SYNTH_FROZEN_SHA256))
+def test_synth_frozen_digest_at_benchmark_sizes(args):
+    img = synth_image(*args)
+    digest = hashlib.sha256(b"".join(c.tobytes() for c in img.channels)).hexdigest()
+    assert digest == SYNTH_FROZEN_SHA256[args]
+
+
+def test_synth_memory_stays_near_the_image():
+    height, width = 1080, 1920
+    tracemalloc.start()
+    try:
+        synth_image(height, width, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * height * width + 2**20
