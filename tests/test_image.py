@@ -23,8 +23,8 @@ SYNTH_8X8_SEED42_SHA256 = "f841913191811d40eec1a4a8004822a317e004a00e1467084b15f
 # crosses several of the generator's internal steps.
 SYNTH_300X300_SEED42_SHA256 = "cf5e3bcfaafcafd905a1f3e7b76ee56b32603a2351f656e7e056847105a9e985"
 
-# The same, frozen from the generator before it ran in place, for the sizes
-# the benchmark and the acceptance tests generate.
+# The same at the benchmark's three image sizes (the smallest at the largest
+# seed), frozen from the earlier, out-of-place form of the generator.
 SYNTH_FROZEN_SHA256 = {
     (1080, 1920, 1): "7011d5472b3d26f65eb8a267af2ce1248d232f7fde6166b2cde7041e0ba6978f",
     (2160, 3840, 1): "ecee4933addadac61eb5dd2bf78d2be219e34d7cd7cab658fdb06c89eeff7412",
