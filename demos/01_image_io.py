@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from iqprep import load_pnm, synth_image, to_planes, write_pnm
+from iqprep import load_pnm, synth_image, write_pnm
 
 # Same (height, width, seed) always gives the same image, byte for byte.
 img = synth_image(4, 6, seed=42)
@@ -31,9 +31,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print("file bytes:", first.read_bytes()[:15], "...")
     print("round trip byte-identical:", first.read_bytes() == second.read_bytes())
 
-# float64 planes keep the 0..255 range, so integer sample values survive
-# the conversion exactly. (The pipeline itself reads the uint8 channels
-# directly and never needs these full-resolution copies.)
-red_plane, green_plane, blue_plane = to_planes(img)
+# A float64 cast of a channel keeps the 0..255 range, so integer sample
+# values survive it exactly. (The pipeline itself reads the uint8 channels
+# directly and never makes such full-resolution copies.)
+red_plane, green_plane, blue_plane = (c.astype(np.float64) for c in img.channels)
 print("planes dtype:", red_plane.dtype)
 print("values preserved:", np.array_equal(red_plane.astype(np.uint8), img.red))

@@ -18,7 +18,6 @@ from iqprep import (
     compute_factor,
     separate_filter_then_decimate,
     synth_image,
-    to_planes,
     transform,
 )
 
@@ -28,7 +27,7 @@ for matrix in builtin_matrices():
     print(matrix.coefficients)
 
 img = synth_image(6, 6, seed=7)
-red, green, blue = to_planes(img)
+red, green, blue = (c.astype(np.float64) for c in img.channels)
 luma, chroma1, chroma2 = transform(red, green, blue, builtin_matrix("yiq"))
 print("luma of first pixel:", luma[0, 0])
 print("check against a scalar dot product:",

@@ -5,46 +5,22 @@ front-end runs, a pointwise linear color transform and a uniform
 box-filter reduction, in both possible orders, proves their outputs
 equivalent, and counts exactly how many multiply/add operations each
 order spends.
+
+The package namespace holds what the README quickstart and the demos use;
+every other name, the result and error types included, is imported from
+its own module.
 """
 
-from iqprep.colorspace import (
-    ChannelSet,
-    ColorMatrix,
-    builtin_matrices,
-    builtin_matrix,
-    count_transform_ops,
-    load_matrix_file,
-    parse_matrix_config,
-    transform,
-)
+from iqprep.colorspace import ChannelSet, builtin_matrices, builtin_matrix, transform
 from iqprep.downsample import (
     DownsampleSpec,
-    OpCounter,
     block_mean_decimate,
     compute_factor,
-    count_decimate_ops,
     separate_filter_then_decimate,
 )
-from iqprep.image import (
-    PnmParseError,
-    RgbImage8,
-    load_pnm,
-    synth_image,
-    to_planes,
-    write_pnm,
-)
-from iqprep.metrics import (
-    MetricConfig,
-    QualityScore,
-    chroma_similarity,
-    gradient_similarity,
-    score,
-)
+from iqprep.image import load_pnm, synth_image, write_pnm
+from iqprep.metrics import MetricConfig, score
 from iqprep.pipeline import (
-    EquivalenceReport,
-    PipelinePlan,
-    PreprocessedChannels,
-    StageOps,
     Strategy,
     plan_pipeline,
     predict_ops,
@@ -59,29 +35,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSet",
-    "ColorMatrix",
     "DownsampleSpec",
-    "EquivalenceReport",
     "MetricConfig",
-    "OpCounter",
-    "PipelinePlan",
-    "PnmParseError",
-    "PreprocessedChannels",
-    "QualityScore",
-    "RgbImage8",
-    "StageOps",
     "Strategy",
     "block_mean_decimate",
     "builtin_matrices",
     "builtin_matrix",
-    "chroma_similarity",
     "compute_factor",
-    "count_decimate_ops",
-    "count_transform_ops",
-    "gradient_similarity",
-    "load_matrix_file",
     "load_pnm",
-    "parse_matrix_config",
     "plan_pipeline",
     "predict_ops",
     "preprocess",
@@ -91,7 +52,6 @@ __all__ = [
     "select_strategy",
     "separate_filter_then_decimate",
     "synth_image",
-    "to_planes",
     "transform",
     "verify_equivalence",
     "write_pnm",

@@ -18,9 +18,10 @@ import time
 from dataclasses import dataclass
 
 from iqprep.colorspace import ChannelSet, ColorMatrix, builtin_matrix
-from iqprep.downsample import DownsampleSpec, OpCounter, compute_factor
+from iqprep.counters import OpCounter
+from iqprep.downsample import DownsampleSpec, compute_factor
 from iqprep.image import synth_image
-from iqprep.metrics import MetricConfig, score
+from iqprep.metrics import require_gradient_size, score
 from iqprep.pipeline import StageOps, Strategy, preprocess
 
 __all__ = [
@@ -45,7 +46,6 @@ class PipelineConfig:
     name: str
     matrix: ColorMatrix
     channels: ChannelSet
-    metric: MetricConfig = MetricConfig()
 
 
 def default_pipelines() -> list[PipelineConfig]:
@@ -105,17 +105,12 @@ def _evaluate(
     """One full metric evaluation; returns the combined stage counters."""
     pre_ref = preprocess(ref, config.matrix, config.channels, strategy, spec)
     pre_dst = preprocess(dst, config.matrix, config.channels, strategy, spec)
-    score(pre_ref, pre_dst, config.metric)
+    score(pre_ref, pre_dst)
     return pre_ref.ops + pre_dst.ops
 
 
-def run_bench(
-    sizes: list[tuple[int, int]],
-    seed: int = 1,
-    reps: int = 5,
-    pipelines: list[PipelineConfig] | None = None,
-) -> list[BenchRecord]:
-    """Time every configured pipeline under both strategies at every size.
+def run_bench(sizes: list[tuple[int, int]], seed: int = 1, reps: int = 5) -> list[BenchRecord]:
+    """Time every default pipeline under both strategies at every size.
 
     For each size a reference/distorted synthetic pair is generated from
     ``seed`` and ``seed + 1``; image content does not affect the cost
@@ -123,22 +118,18 @@ def run_bench(
     """
     if reps < 3:
         raise ValueError(f"need at least 3 repetitions for a median, got {reps}")
-    if pipelines is None:
-        pipelines = default_pipelines()
     specs = [compute_factor(height, width) for height, width in sizes]
-    # Every pipeline scores a gradient map, which needs a 3x3 reduced plane;
-    # reject a size too small for it before any other size is timed.
+    # Every pipeline scores a gradient map; reject a size too small for it
+    # before any other size is timed.
     for (height, width), spec in zip(sizes, specs):
-        reduced = (height // spec.factor, width // spec.factor)
-        if min(reduced) < 3:
-            raise ValueError(f"gradient similarity needs planes of at least 3x3, got {reduced}")
+        require_gradient_size((height // spec.factor, width // spec.factor))
 
     records: list[BenchRecord] = []
     for (height, width), spec in zip(sizes, specs):
         label = f"{height}x{width}"
         ref = synth_image(height, width, seed)
         dst = synth_image(height, width, seed + 1)
-        for config in pipelines:
+        for config in default_pipelines():
             timed: dict[Strategy, tuple[float, float, float, StageOps]] = {}
             for strategy in _STRATEGIES:
                 ops = _evaluate(ref, dst, config, strategy, spec)  # warm-up, untimed

@@ -11,9 +11,8 @@ import sys
 
 from iqprep.bench import emit_report, run_bench
 from iqprep.colorspace import ChannelSet, builtin_matrix
-from iqprep.downsample import compute_factor
 from iqprep.image import PnmParseError, load_pnm, synth_image
-from iqprep.metrics import MetricConfig, score
+from iqprep.metrics import score
 from iqprep.pipeline import Strategy, channel_differences, preprocess
 
 
@@ -110,30 +109,27 @@ def _cmd_verify(args) -> int:
         return 2
     height, width = args.size
     channels = ChannelSet.all_channels()
-    spec = compute_factor(height, width)
     ref = synth_image(height, width, args.seed)
     dst = synth_image(height, width, args.seed + 1)
 
     # each image is preprocessed once per ordering; the same four results
     # give the channel differences and the two scores
     cf_ref, cf_dst, df_ref, df_dst = (
-        preprocess(image, matrix, channels, strategy, spec)
+        preprocess(image, matrix, channels, strategy)
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
         for image in (ref, dst)
     )
-    per_channel = channel_differences(cf_ref, df_ref)
-    for name, diff in channel_differences(cf_dst, df_dst).items():
-        per_channel[name] = max(diff, per_channel[name])
+    per_channel = channel_differences((cf_ref, df_ref), (cf_dst, df_dst))
 
     try:
-        score_cf = score(cf_ref, cf_dst, MetricConfig()).value
-        score_df = score(df_ref, df_dst, MetricConfig()).value
+        score_cf = score(cf_ref, cf_dst).value
+        score_df = score(df_ref, df_dst).value
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     score_delta = abs(score_cf - score_df)
 
-    print(f"size {height}x{width}  matrix {matrix.name}  M {spec.factor}  tol {args.tol:g}")
+    print(f"size {height}x{width}  matrix {matrix.name}  M {cf_ref.plan.spec.factor}  tol {args.tol:g}")
     print("max |convert-first - downsample-first| per channel:")
     for name, diff in per_channel.items():
         print(f"  {name:8s} {diff:.3e}")
@@ -164,7 +160,7 @@ def _cmd_score(args) -> int:
     pre_ref = preprocess(ref, matrix, channels, strategy)
     pre_dst = preprocess(dst, matrix, channels, strategy)
     try:
-        result = score(pre_ref, pre_dst, MetricConfig())
+        result = score(pre_ref, pre_dst)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from iqprep.downsample import OpCounter
+from iqprep.counters import OpCounter
 
 __all__ = [
     "ColorMatrix",

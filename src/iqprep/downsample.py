@@ -32,36 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from iqprep.counters import OpCounter
+
 __all__ = [
-    "OpCounter",
     "DownsampleSpec",
     "compute_factor",
     "block_mean_decimate",
     "separate_filter_then_decimate",
     "count_decimate_ops",
 ]
-
-
-@dataclass
-class OpCounter:
-    """Tally of scalar multiplies and adds performed by instrumented kernels.
-
-    Counts are recorded at the site of each vectorized array operation from
-    the actual array sizes involved, so they are exact and hardware
-    independent. Counters compose additively across pipeline stages.
-    """
-
-    multiplies: int = 0
-    adds: int = 0
-
-    def record(self, multiplies: int = 0, adds: int = 0) -> None:
-        if multiplies < 0 or adds < 0:
-            raise ValueError("operation counts must be non-negative")
-        self.multiplies += multiplies
-        self.adds += adds
-
-    def __add__(self, other: "OpCounter") -> "OpCounter":
-        return OpCounter(self.multiplies + other.multiplies, self.adds + other.adds)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Conventions used throughout the package:
   integer-exact in doubles. The pipeline reads the uint8 channels
   directly: the reduction sums them exactly in integers and the color
   transform forms its float64 products from them, so no full-resolution
-  float copy of a channel is made; :func:`to_planes` makes one on request.
+  float copy of a channel is made.
 * The only on-disk format is binary PNM (P6) with maxval 255; it is
   trivially bit-exact and needs no external decoder.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "load_pnm",
     "write_pnm",
     "synth_image",
-    "to_planes",
 ]
 
 
@@ -129,6 +128,8 @@ def load_pnm(path: str | os.PathLike) -> RgbImage8:
 
     if data[:2] != b"P6":
         raise PnmParseError(0, f"not a binary PNM (P6) file, magic is {data[:2]!r}")
+    if data[2:3] and not (data[2:3].isspace() or data[2:3] == b"#"):
+        raise PnmParseError(2, f"expected whitespace after the magic number, got {data[2:3]!r}")
     width, wstart, pos = _header_int(data, 2, "width")
     height, hstart, pos = _header_int(data, pos, "height")
     maxval, mstart, pos = _header_int(data, pos, "maxval")
@@ -232,15 +233,3 @@ def synth_image(height: int, width: int, seed: int) -> RgbImage8:
         blue=planes[2],
     )
 
-
-def to_planes(image: RgbImage8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert the three 8-bit channels to float64 planes, values preserved.
-
-    Integers up to 255 are exact in doubles, so rounding the planes back
-    recovers the original samples bit for bit.
-    """
-    return (
-        image.red.astype(np.float64),
-        image.green.astype(np.float64),
-        image.blue.astype(np.float64),
-    )

@@ -36,6 +36,7 @@ __all__ = [
     "gradient_similarity",
     "chroma_similarity",
     "score",
+    "require_gradient_size",
 ]
 
 @dataclass(frozen=True)
@@ -76,6 +77,12 @@ def _check_pair(ref: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if a.shape != b.shape:
         raise ValueError(f"plane dimensions differ: {a.shape} vs {b.shape}")
     return a, b
+
+
+def require_gradient_size(shape: tuple[int, ...]) -> None:
+    """Raise ValueError unless a plane of ``shape`` is at least 3x3, as the gradient term needs."""
+    if shape[0] < 3 or shape[1] < 3:
+        raise ValueError(f"gradient similarity needs planes of at least 3x3, got {shape}")
 
 
 def _squared_prewitt(plane: np.ndarray) -> np.ndarray:
@@ -132,8 +139,7 @@ def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = 1
     if not c > 0:
         raise ValueError(f"stability constant must be positive, got {c}")
     ref, dst = _check_pair(ref_luma, dst_luma)
-    if ref.shape[0] < 3 or ref.shape[1] < 3:
-        raise ValueError(f"gradient similarity needs planes of at least 3x3, got {ref.shape}")
+    require_gradient_size(ref.shape)
     sq_ref = _squared_prewitt(ref)
     sq_dst = _squared_prewitt(dst)
     similarity = np.multiply(sq_ref, sq_dst)

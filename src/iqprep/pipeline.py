@@ -37,9 +37,9 @@ from enum import Enum
 import numpy as np
 
 from iqprep.colorspace import ChannelSet, ColorMatrix, count_transform_ops, transform
+from iqprep.counters import OpCounter
 from iqprep.downsample import (
     DownsampleSpec,
-    OpCounter,
     block_mean_decimate,
     compute_factor,
     count_decimate_ops,
@@ -147,21 +147,18 @@ def predict_ops(
     height: int, width: int, channels: ChannelSet, spec: DownsampleSpec, strategy: Strategy
 ) -> StageOps:
     """Closed-form stage costs of one execution on an ``height x width`` image."""
-    k = channels.count
-    if strategy is Strategy.CONVERT_FIRST:
-        per_plane = count_decimate_ops(height, width, spec)
-        return StageOps(
-            conversion=count_transform_ops(height, width, channels),
-            filtering=OpCounter(per_plane.multiplies * k, per_plane.adds * k),
-        )
-    if strategy is Strategy.DOWNSAMPLE_FIRST:
-        per_plane = count_decimate_ops(height, width, spec)
-        m = spec.factor
-        return StageOps(
-            conversion=count_transform_ops(height // m, width // m, channels),
-            filtering=OpCounter(per_plane.multiplies * 3, per_plane.adds * 3),
-        )
-    raise ValueError("predict_ops needs a concrete strategy, not AUTO")
+    if strategy is Strategy.AUTO:
+        raise ValueError("predict_ops needs a concrete strategy, not AUTO")
+    # Convert-first converts the full grid and reduces the k converted
+    # planes; downsample-first reduces the three RGB planes and converts
+    # the reduced grid.
+    df = strategy is Strategy.DOWNSAMPLE_FIRST
+    m, planes = (spec.factor, 3) if df else (1, channels.count)
+    per_plane = count_decimate_ops(height, width, spec)
+    return StageOps(
+        conversion=count_transform_ops(height // m, width // m, channels),
+        filtering=OpCounter(per_plane.multiplies * planes, per_plane.adds * planes),
+    )
 
 
 def plan_pipeline(
@@ -287,14 +284,15 @@ class EquivalenceReport:
 
 
 def channel_differences(
-    first: PreprocessedChannels, second: PreprocessedChannels
+    *pairs: tuple[PreprocessedChannels, PreprocessedChannels],
 ) -> dict[str, float]:
-    """Largest per-sample ``|first - second|`` of each channel the results hold."""
-    return {
-        name: float(np.max(np.abs(a - b)))
-        for name, a, b in zip(("luma", "chroma1", "chroma2"), first.planes, second.planes)
-        if a is not None
-    }
+    """Largest per-sample ``|first - second|`` of each channel over every (first, second) pair."""
+    per_channel: dict[str, float] = {}
+    for first, second in pairs:
+        for name, a, b in zip(("luma", "chroma1", "chroma2"), first.planes, second.planes):
+            if a is not None:
+                per_channel[name] = max(per_channel.get(name, 0.0), float(np.max(np.abs(a - b))))
+    return per_channel
 
 
 def verify_equivalence(
@@ -312,10 +310,11 @@ def verify_equivalence(
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    per_channel = channel_differences(
+    pair = (
         run_convert_first(image, matrix, channels, spec),
         run_downsample_first(image, matrix, channels, spec),
     )
+    per_channel = channel_differences(pair)
     worst = max(per_channel.values())
     return EquivalenceReport(
         per_channel=per_channel,

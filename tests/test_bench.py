@@ -9,7 +9,7 @@ from iqprep.bench import (
     emit_report,
     run_bench,
 )
-from iqprep.downsample import OpCounter
+from iqprep.counters import OpCounter
 from iqprep.pipeline import Strategy
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -77,11 +77,14 @@ def test_counters_are_deterministic_across_runs():
 
 
 def test_m1_size_has_identical_counters_across_strategies():
-    records = run_bench([(256, 256)], seed=1, reps=3, pipelines=default_pipelines()[:1])
-    cf, df = records
-    assert cf.factor == df.factor == 1
-    assert cf.conversion == df.conversion
-    assert cf.filtering == df.filtering == OpCounter(0, 0)
+    records = run_bench([(256, 256)], seed=1, reps=3)
+    assert len(records) == 2 * len(default_pipelines())
+    for cf, df in zip(records[0::2], records[1::2]):
+        assert cf.pipeline == df.pipeline
+        assert (cf.strategy, df.strategy) == (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+        assert cf.factor == df.factor == 1
+        assert cf.conversion == df.conversion
+        assert cf.filtering == df.filtering == OpCounter(0, 0)
 
 
 def test_reps_validation():

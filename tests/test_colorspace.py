@@ -16,8 +16,13 @@ from iqprep.colorspace import (
     parse_matrix_config,
     transform,
 )
-from iqprep.downsample import OpCounter
-from iqprep.image import synth_image, to_planes
+from iqprep.counters import OpCounter
+from iqprep.image import synth_image
+
+
+def _float_planes(img):
+    """The three 8-bit channels cast to float64, values unchanged."""
+    return tuple(c.astype(np.float64) for c in img.channels)
 
 
 def _planes(rng, height, width):
@@ -140,7 +145,7 @@ def test_uint8_input_matches_float_planes(matrix):
         channels = ChannelSet(*flags)
         int_counter, float_counter = OpCounter(), OpCounter()
         from_uint8 = transform(*img.channels, matrix, channels, int_counter)
-        from_float = transform(*to_planes(img), matrix, channels, float_counter)
+        from_float = transform(*_float_planes(img), matrix, channels, float_counter)
         for a, b in zip(from_uint8, from_float):
             assert (a is None) == (b is None)
             if a is not None:

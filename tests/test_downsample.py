@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqprep.counters import OpCounter
 from iqprep.downsample import (
     DownsampleSpec,
-    OpCounter,
     block_mean_decimate,
     compute_factor,
     count_decimate_ops,

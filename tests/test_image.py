@@ -12,7 +12,6 @@ from iqprep.image import (
     RgbImage8,
     load_pnm,
     synth_image,
-    to_planes,
     write_pnm,
 )
 
@@ -133,6 +132,22 @@ def test_header_comments_are_skipped(tmp_path):
     assert (img.red[0, 0], img.green[0, 0], img.blue[0, 0]) == (1, 2, 3)
 
 
+def test_magic_must_be_followed_by_whitespace(tmp_path):
+    # Without the check, "P62 1" reads as a 2x1 image.
+    path = tmp_path / "run-on.ppm"
+    path.write_bytes(b"P62 1 255\n" + b"\x00" * 6)
+    with pytest.raises(PnmParseError, match="whitespace after the magic") as excinfo:
+        load_pnm(path)
+    assert excinfo.value.offset == 2
+
+
+def test_comment_may_follow_magic(tmp_path):
+    path = tmp_path / "comment.ppm"
+    path.write_bytes(b"P6# made by hand\n1 1\n255\n\x01\x02\x03")
+    img = load_pnm(path)
+    assert (img.red[0, 0], img.green[0, 0], img.blue[0, 0]) == (1, 2, 3)
+
+
 def test_truncated_header(tmp_path):
     path = tmp_path / "eof.ppm"
     path.write_bytes(b"P6\n1 ")
@@ -189,27 +204,6 @@ def test_synth_rejects_zero_dimension():
         synth_image(0, 4, 1)
     with pytest.raises(ValueError, match=">= 1"):
         synth_image(4, 0, 1)
-
-
-def test_to_planes_preserves_values_exactly():
-    img = synth_image(5, 7, 3)
-    planes = to_planes(img)
-    for plane, chan in zip(planes, img.channels):
-        assert plane.dtype == np.float64
-        assert np.array_equal(plane.astype(np.uint8), chan)
-        assert np.all(np.isfinite(plane))
-
-
-def test_to_planes_trivial_values():
-    img = RgbImage8(
-        height=1,
-        width=1,
-        red=np.array([[255]], dtype=np.uint8),
-        green=np.array([[0]], dtype=np.uint8),
-        blue=np.array([[0]], dtype=np.uint8),
-    )
-    r, g, b = to_planes(img)
-    assert r[0, 0] == 255.0 and g[0, 0] == 0.0 and b[0, 0] == 0.0
 
 
 def test_image_validation():

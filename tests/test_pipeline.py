@@ -13,10 +13,11 @@ from iqprep.colorspace import (
     transform,
 )
 from iqprep.downsample import DownsampleSpec, block_mean_decimate, compute_factor
-from iqprep.image import synth_image, to_planes
+from iqprep.image import synth_image
 from iqprep.pipeline import (
     PipelinePlan,
     Strategy,
+    channel_differences,
     plan_pipeline,
     predict_ops,
     preprocess,
@@ -40,10 +41,15 @@ CHANNEL_SETS = [
 ]
 
 
+def _float_planes(img):
+    """The three 8-bit channels cast to float64, values unchanged."""
+    return tuple(c.astype(np.float64) for c in img.channels)
+
+
 def test_convert_first_m1_identity_is_passthrough():
     img = synth_image(6, 7, 2)
     result = run_convert_first(img, IDENTITY_MATRIX, ALL, DownsampleSpec(1))
-    for plane, channel in zip(result.planes, to_planes(img)):
+    for plane, channel in zip(result.planes, _float_planes(img)):
         assert np.array_equal(plane, channel)
 
 
@@ -212,6 +218,19 @@ def test_verify_equivalence_rejects_bad_tolerance():
             verify_equivalence(img, IDENTITY_MATRIX, ALL, DownsampleSpec(1), tolerance=tolerance)
 
 
+def test_channel_differences_takes_the_worst_pair_per_channel():
+    matrix = builtin_matrix("yiq")
+    for channels in (ALL, LUMA, ChannelSet(False, True, True)):
+        a, b, c = (preprocess(synth_image(12, 10, seed), matrix, channels) for seed in (1, 2, 3))
+        pairs = ((a, b), (a, c), (b, c))
+        want = {
+            name: max(float(np.max(np.abs(x.planes[i] - y.planes[i]))) for x, y in pairs)
+            for i, name in enumerate(("luma", "chroma1", "chroma2"))
+            if channels.flags[i]
+        }
+        assert channel_differences(*pairs) == want
+
+
 def test_equivalence_randomized_channel_subsets():
     rng = np.random.default_rng(77)
     matrices = builtin_matrices()
@@ -241,11 +260,11 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
         if strategy is Strategy.CONVERT_FIRST:
             expected = [
                 block_mean_decimate(p, spec) if p is not None else None
-                for p in transform(*to_planes(img), matrix, channels)
+                for p in transform(*_float_planes(img), matrix, channels)
             ]
         else:
             expected = transform(
-                *(block_mean_decimate(p, spec) for p in to_planes(img)), matrix, channels
+                *(block_mean_decimate(p, spec) for p in _float_planes(img)), matrix, channels
             )
         for got, want in zip(result.planes, expected):
             assert (got is None) == (want is None)
