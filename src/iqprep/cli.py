@@ -7,6 +7,7 @@ Exit codes: 0 on success / within tolerance, 1 on a tolerance violation
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from iqprep.bench import emit_report, run_bench
@@ -99,7 +100,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not args.tol > 0:
+    if not 0 < args.tol < math.inf:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
     try:

@@ -8,12 +8,16 @@ exist so that end-to-end score invariance under a front-end strategy swap
 is assertable on something realistic, not to compete on prediction
 accuracy.
 
-Both terms run in real float64 arithmetic on whole planes. The Prewitt
-responses come from 3-row and 3-column sums of an edge-padded plane, and
-the gradient term works on squared magnitudes, so it takes one square
-root per sample and holds at most four plane-sized arrays at once. The
-chroma exponent takes the real part of the principal-branch power in
-closed form, without a complex cast.
+Both terms run in real float64 arithmetic. The Prewitt responses come
+from 3-row and 3-column sums of an edge-padded plane, and the gradient
+term works on squared magnitudes, so it takes one square root per sample
+and holds at most four arrays of its input's size at once. The chroma
+exponent takes the real part of the principal-branch power in closed
+form, without a complex cast. :func:`score` builds the maps one row tile
+at a time (the gradient term with a one-row halo) and pools running
+sums, so it holds no plane-sized map; every map sample has the bits of
+the whole-plane map, and only the order in which the means are summed
+differs.
 """
 
 from __future__ import annotations
@@ -177,6 +181,39 @@ def _chroma_power(product: np.ndarray, weight: float) -> np.ndarray:
     return power
 
 
+def _tile_sums(
+    ref: PreprocessedChannels, dst: PreprocessedChannels, a: int, b: int, config: MetricConfig
+) -> tuple[float, float, float, float]:
+    """Sums of the composite, gradient, chroma1 and chroma2 maps over rows ``[a, b)``.
+
+    The gradient map comes from luma rows ``[a - 1, b + 1)``, clamped to
+    the plane, with the halo rows cropped, so each of its samples has the
+    bits of the whole-plane map. An absent chroma channel sums to 0. The
+    tile's maps are freed when this returns.
+    """
+    lo, hi = max(a - 1, 0), min(b + 1, ref.luma.shape[0])
+    gradient_map = gradient_similarity(ref.luma[lo:hi], dst.luma[lo:hi], config.gradient_c)
+    gradient_map = gradient_map[a - lo : b - lo]
+    chroma_sums = [0.0, 0.0]
+    product = None
+    for i, (ref_c, dst_c) in enumerate(zip(ref.planes[1:], dst.planes[1:])):
+        if ref_c is not None:
+            cmap = chroma_similarity(ref_c[a:b], dst_c[a:b], config.chroma_t)
+            chroma_sums[i] = float(cmap.sum())
+            product = cmap if product is None else product * cmap
+    if product is None:
+        composite = gradient_map
+    else:
+        composite = gradient_map * _chroma_power(product, config.chroma_weight)
+    return (float(composite.sum()), float(gradient_map.sum()), *chroma_sums)
+
+
+# score() builds its maps over row tiles of about this many samples (256 KB
+# per float64 map), so a tile's maps stay in cache and no plane-sized map
+# is built. README's "Metric layer" gives the sweep behind the size.
+_TILE_SAMPLES = 1 << 15
+
+
 def score(
     ref: PreprocessedChannels,
     dst: PreprocessedChannels,
@@ -201,28 +238,22 @@ def score(
     if ref.luma is None:
         raise ValueError("scoring requires the luminance channel")
 
-    gradient_map = gradient_similarity(ref.luma, dst.luma, config.gradient_c)
-    chroma_maps: list[np.ndarray] = []
-    chroma_means: list[float | None] = []
-    for ref_c, dst_c in ((ref.chroma1, dst.chroma1), (ref.chroma2, dst.chroma2)):
-        if ref_c is None:
-            chroma_means.append(None)
-            continue
-        cmap = chroma_similarity(ref_c, dst_c, config.chroma_t)
-        chroma_maps.append(cmap)
-        chroma_means.append(float(cmap.mean()))
+    h, w = ref.luma.shape
+    if dst.luma.shape != (h, w):
+        raise ValueError(f"plane dimensions differ: {(h, w)} vs {dst.luma.shape}")
+    require_gradient_size((h, w))
 
-    if chroma_maps:
-        product = chroma_maps[0]
-        for cmap in chroma_maps[1:]:
-            product = product * cmap
-        composite = gradient_map * _chroma_power(product, config.chroma_weight)
-    else:
-        composite = gradient_map
-
+    # Row tiles of at least two rows, the last one taking a lone remainder
+    # row, so a tile with its one-row halo is never under 3x3.
+    rows = max(2, _TILE_SAMPLES // w)
+    sums = [0.0, 0.0, 0.0, 0.0]
+    for a in range(0, h - 1, rows):
+        b = a + rows if a + rows < h - 1 else h
+        sums = [s + t for s, t in zip(sums, _tile_sums(ref, dst, a, b, config))]
+    value, gradient, chroma1, chroma2 = (s / (h * w) for s in sums)
     return QualityScore(
-        value=float(composite.mean()),
-        gradient=float(gradient_map.mean()),
-        chroma1=chroma_means[0],
-        chroma2=chroma_means[1],
+        value=value,
+        gradient=gradient,
+        chroma1=None if ref.chroma1 is None else chroma1,
+        chroma2=None if ref.chroma2 is None else chroma2,
     )

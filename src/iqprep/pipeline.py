@@ -16,11 +16,14 @@ fewer pixels. When fewer than three channels are needed, convert-first
 filters fewer planes instead, which is why the selector keys on the
 channel count.
 
-Convert-first runs in row bands of whole M x M blocks, about 2^16 samples
-each: a band is converted and then reduced while its float64 planes are
-still in cache, so no full-resolution float plane is built. Each output
-sample sees the same operations in the same order as whole-plane calls,
-so the outputs are bit-identical and the counters unchanged.
+Both orderings run in row bands of whole M x M blocks. A convert-first
+band (about 2^16 samples) is converted and then reduced while its
+float64 planes are still in cache; a downsample-first band (about 2^14
+reduced samples) is reduced from the uint8 channels and then converted
+straight into its output rows. No full-size intermediate is built on
+either path. Each output sample sees the same operations in the same
+order as whole-plane calls, so the outputs are bit-identical and the
+counters unchanged.
 
 Every run carries exact multiply/add counters for both stages alongside
 the closed-form predictions, so the cost claims are checkable without a
@@ -31,6 +34,7 @@ plan through one executor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -183,55 +187,65 @@ def plan_pipeline(
     )
 
 
-# A convert-first band holds about this many samples (whole blocks only),
-# so its converted float64 planes stay in cache until they are reduced.
-_BAND_SAMPLES = 1 << 16
+def _band_rows(plan: PipelinePlan, width: int) -> int:
+    """Rows per band of :func:`_execute`: a multiple of M, at least M.
+
+    A band converted at full resolution (convert-first, or M = 1) holds
+    about 2^16 samples, so its float64 planes are still in cache when
+    they are reduced. Downsample-first converts only the reduced rows, so
+    its band is sized by them: about 2^14 reduced samples (M^2 * 2^14
+    input samples), 128 KB per float64 plane. Its bands are therefore
+    much taller, which keeps the numpy calls per image few: with 2^16
+    input samples per band, call overhead more than doubled the time of a
+    4K image at M = 8.
+    """
+    m = plan.spec.factor
+    full_resolution = plan.strategy is Strategy.CONVERT_FIRST or m == 1
+    samples = 1 << 16 if full_resolution else (m * m) << 14
+    return m * max(1, samples // (m * width))
 
 
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     """Run the ordering ``plan.strategy`` names and count both stages.
 
-    Convert-first works one row band at a time. A band is a multiple of M
-    rows holding about ``_BAND_SAMPLES`` samples, and the last band also
-    takes the ``h % M`` trailing rows, which are converted but fall outside
-    every block. Each band goes through :func:`transform` and then
-    :func:`block_mean_decimate` into its rows of the preallocated outputs;
-    at M = 1, :func:`transform` writes into those rows itself. Every output
+    Both orderings work one row band at a time (see :func:`_band_rows`).
+    A band is a multiple of M rows, and the last band also takes the
+    ``h % M`` trailing rows, which fall outside every block. Convert-first
+    passes a band through :func:`transform` and then
+    :func:`block_mean_decimate` into its rows of the preallocated
+    outputs; downsample-first reduces the band's three uint8 RGB rows and
+    then lets :func:`transform` write into those rows. At M = 1 both
+    orderings only convert, straight into the output rows. Every output
     sample sees the same operations in the same order as whole-plane
     calls, so outputs and counters are identical to them, but no
-    full-resolution float64 plane is ever built.
+    full-size intermediate is ever built.
     """
     conversion = OpCounter()
     filtering = OpCounter()
-    if plan.strategy is Strategy.CONVERT_FIRST:
-        m = plan.spec.factor
-        h, w = image.height, image.width
-        # Rows of whole blocks. An image shorter or narrower than M goes
-        # through as one band, so block_mean_decimate's error names the
-        # whole plane.
-        whole = h - h % m if w >= m else 0
-        step = m * max(1, _BAND_SAMPLES // (m * w))
-        outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
-        for a in range(0, max(whole, 1), step):
-            b = a + step if a + step < whole else h
-            rgb = (c[a:b] for c in image.channels)
-            if m == 1:
-                # Nothing to reduce: convert straight into the output rows.
-                rows = tuple(None if out is None else out[a:b] for out in outputs)
-                transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
-                continue
+    m = plan.spec.factor
+    h, w = image.height, image.width
+    # Rows of whole blocks. An image shorter or narrower than M goes
+    # through as one band, so block_mean_decimate's error names the whole
+    # plane.
+    whole = h - h % m if w >= m else 0
+    step = _band_rows(plan, w)
+    outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
+    for a in range(0, max(whole, 1), step):
+        b = a + step if a + step < whole else h
+        rgb = (c[a:b] for c in image.channels)
+        rows = tuple(None if out is None else out[a // m : b // m] for out in outputs)
+        if m == 1:
+            transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
+        elif plan.strategy is Strategy.CONVERT_FIRST:
             band = transform(*rgb, plan.matrix, plan.channels, counter=conversion)
-            for out, plane in zip(outputs, band):
+            for out, plane in zip(rows, band):
                 if out is not None:
-                    out[a // m : b // m] = block_mean_decimate(plane, plan.spec, counter=filtering)
-        luma, chroma1, chroma2 = outputs
-    else:
-        reduced_rgb = [
-            block_mean_decimate(p, plan.spec, counter=filtering) for p in image.channels
-        ]
-        luma, chroma1, chroma2 = transform(
-            *reduced_rgb, plan.matrix, plan.channels, counter=conversion
-        )
+                    out[...] = block_mean_decimate(plane, plan.spec, counter=filtering)
+        else:
+            # The reduced rows live only for the duration of the call.
+            reduced = (block_mean_decimate(c, plan.spec, counter=filtering) for c in rgb)
+            transform(*reduced, plan.matrix, plan.channels, counter=conversion, out=rows)
+    luma, chroma1, chroma2 = outputs
     return PreprocessedChannels(
         luma=luma,
         chroma1=chroma1,
@@ -308,7 +322,7 @@ def verify_equivalence(
     of up to 64-term block sums on 0..255 inputs with coefficients of
     order one; it is configurable for adversarial matrices.
     """
-    if not tolerance > 0:
+    if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     pair = (
         run_convert_first(image, matrix, channels, spec),

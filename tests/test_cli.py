@@ -45,7 +45,7 @@ def test_verify_impossible_tolerance_fails(capsys):
 
 
 def test_verify_zero_tolerance_is_rejected(capsys):
-    for tol in ("0", "nan"):
+    for tol in ("0", "nan", "inf"):
         code, _, err = run_cli(capsys, "verify", "--size", "64x64", "--tol", tol)
         assert code == 2
         assert "positive" in err

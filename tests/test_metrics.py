@@ -11,6 +11,7 @@ from iqprep.colorspace import ChannelSet, builtin_matrix
 from iqprep.downsample import DownsampleSpec, compute_factor
 from iqprep.image import synth_image
 from iqprep.metrics import (
+    _TILE_SAMPLES,
     MetricConfig,
     _chroma_power,
     chroma_similarity,
@@ -295,6 +296,61 @@ def test_small_planes_rejected():
     tiny = np.ones((2, 2))
     with pytest.raises(ValueError, match="3x3"):
         gradient_similarity(tiny, tiny, 160.0)
+
+
+def test_score_rejects_results_of_different_sizes():
+    # score works in row tiles; a taller dst must not be cut to ref's rows
+    matrix = builtin_matrix("yiq")
+    ref, dst = (preprocess(synth_image(h, 64, 1), matrix, ALL) for h in (64, 72))
+    with pytest.raises(ValueError, match="plane dimensions differ"):
+        score(ref, dst)
+
+
+def _whole_map_score(ref, dst, config=MetricConfig()):
+    """score() spelled out on whole-plane maps, pooled with np.mean."""
+    gradient_map = gradient_similarity(ref.luma, dst.luma, config.gradient_c)
+    if ref.chroma1 is None:
+        return (gradient_map.mean(), gradient_map.mean(), None, None)
+    c1 = chroma_similarity(ref.chroma1, dst.chroma1, config.chroma_t)
+    c2 = chroma_similarity(ref.chroma2, dst.chroma2, config.chroma_t)
+    composite = gradient_map * _chroma_power(c1 * c2, config.chroma_weight)
+    return (composite.mean(), gradient_map.mean(), c1.mean(), c2.mean())
+
+
+@pytest.mark.parametrize("width", [64, _TILE_SAMPLES + 5])  # the second: two-row tiles
+@pytest.mark.parametrize("channels", [ALL, ChannelSet.luma_only()])
+def test_tiled_score_equals_whole_map_mean(width, channels):
+    rows = max(2, _TILE_SAMPLES // width)
+    heights = {3, 4, rows - 1, rows, rows + 1, 2 * rows + 1}
+    matrix = builtin_matrix("yiq")
+    for height in sorted(h for h in heights if h >= 3):
+        ref, dst = (
+            preprocess(synth_image(height, width, seed), matrix, channels, spec=DownsampleSpec(1))
+            for seed in (height, height + 1)
+        )
+        result = score(ref, dst)
+        got = (result.value, result.gradient, result.chroma1, result.chroma2)
+        for g, want in zip(got, _whole_map_score(ref, dst)):
+            assert (g is None) == (want is None)
+            if g is not None:
+                assert abs(g - want) <= 1e-13, (height, width)
+
+
+def test_score_peak_memory_at_270x480():
+    # score pools row tiles; it should hold well under two plane-sized
+    # maps at once on the reduced planes of a 4K or 1080p pair
+    matrix = builtin_matrix("yiq")
+    ref, dst = (
+        preprocess(synth_image(270, 480, seed), matrix, ALL, spec=DownsampleSpec(1))
+        for seed in (1, 2)
+    )
+    tracemalloc.start()
+    try:
+        score(ref, dst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ref.luma.nbytes
 
 
 def test_dimension_mismatch_rejected():

@@ -213,7 +213,7 @@ def test_plan_defaults_to_size_rule_and_rejects_auto():
 
 def test_verify_equivalence_rejects_bad_tolerance():
     img = synth_image(8, 8, 1)
-    for tolerance in (0.0, float("nan")):
+    for tolerance in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive"):
             verify_equivalence(img, IDENTITY_MATRIX, ALL, DownsampleSpec(1), tolerance=tolerance)
 
@@ -275,41 +275,52 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
 @pytest.mark.parametrize(
     "height, width, factor",
     [
-        (301, 517, 3),  # three bands; h % M and w % M both non-zero
-        (9, 20000, 4),  # wider than 2^16 / M: every band is exactly M rows
-        (256, 1024, 4),  # rows divide evenly into four bands
+        (301, 517, 3),  # three convert-first bands; h % M and w % M both non-zero
+        (501, 301, 2),  # three downsample-first bands; h % M and w % M both non-zero
+        (9, 20000, 4),  # wider than 2^16 / M: every convert-first band is exactly M rows
+        (256, 1024, 4),  # rows divide evenly into four convert-first bands
         (23, 31, 2),  # smaller than one band
         (300, 700, 1),  # M = 1, four bands
     ],
 )
 @pytest.mark.parametrize("name", ["identity", "yiq", "lmn"])
 def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, name):
-    # convert-first runs in row bands; across band edges it must still give
-    # the bits and counts of one whole-plane transform and reduction
+    # both orderings run in row bands; across band edges each must still
+    # give the bits and counts of its stages applied to whole planes
     img = synth_image(height, width, factor)
     matrix = builtin_matrix(name)
     spec = DownsampleSpec(factor)
     for channels in CHANNEL_SETS:
-        result = preprocess(img, matrix, channels, Strategy.CONVERT_FIRST, spec)
-        expected = [
+        convert_first = [
             block_mean_decimate(p, spec) if p is not None else None
             for p in transform(*img.channels, matrix, channels)
         ]
-        for got, want in zip(result.planes, expected):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert np.array_equal(got, want), (height, width, factor, channels)
-        assert result.ops == result.plan.predicted
+        downsample_first = transform(
+            *(block_mean_decimate(c, spec) for c in img.channels), matrix, channels
+        )
+        for strategy, expected in (
+            (Strategy.CONVERT_FIRST, convert_first),
+            (Strategy.DOWNSAMPLE_FIRST, downsample_first),
+        ):
+            result = preprocess(img, matrix, channels, strategy, spec)
+            for got, want in zip(result.planes, expected):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got, want), (height, width, factor, channels, strategy)
+            assert result.ops == result.plan.predicted
 
 
 @pytest.mark.parametrize("height, width", [(3, 50000), (40000, 3), (2, 2)])
 def test_convert_first_plane_smaller_than_filter_raises(height, width):
+    # either ordering sends such an image through as one band, so the
+    # error names the whole plane
     spec = DownsampleSpec(4)
     with pytest.raises(ValueError) as whole_plane:
         block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
     img = synth_image(height, width, 1)
-    with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
-        preprocess(img, builtin_matrix("yiq"), LUMA, Strategy.CONVERT_FIRST, spec)
+    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+        with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
+            preprocess(img, builtin_matrix("yiq"), LUMA, strategy, spec)
 
 
 def test_convert_first_never_holds_a_full_resolution_float_plane():
@@ -322,3 +333,15 @@ def test_convert_first_never_holds_a_full_resolution_float_plane():
     finally:
         tracemalloc.stop()
     assert peak < full_plane_bytes
+
+
+def test_downsample_first_never_holds_a_full_reduced_rgb_set():
+    img = synth_image(1024, 2048, 5)
+    reduced_rgb_bytes = 3 * 256 * 512 * 8
+    tracemalloc.start()
+    try:
+        preprocess(img, builtin_matrix("yiq"), LUMA, Strategy.DOWNSAMPLE_FIRST, DownsampleSpec(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < reduced_rgb_bytes
