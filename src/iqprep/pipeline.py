@@ -237,6 +237,9 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         if m == 1:
             transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
         elif plan.strategy is Strategy.CONVERT_FIRST:
+            # The band stays alive until the next one replaces it. Freeing
+            # it first made glibc's default malloc trim and re-fault its
+            # heap on every band (README, "Benchmark protocol").
             band = transform(*rgb, plan.matrix, plan.channels, counter=conversion)
             for out, plane in zip(rows, band):
                 if out is not None:

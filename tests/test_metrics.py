@@ -337,7 +337,7 @@ def test_tiled_score_equals_whole_map_mean(width, channels):
 
 
 def test_score_peak_memory_at_270x480():
-    # score pools row tiles; it should hold well under two plane-sized
+    # score pools row tiles; it should hold fewer than two plane-sized
     # maps at once on the reduced planes of a 4K or 1080p pair
     matrix = builtin_matrix("yiq")
     ref, dst = (
