@@ -135,7 +135,7 @@ def _cmd_verify(args) -> int:
     for name, diff in per_channel.items():
         print(f"  {name:8s} {diff:.3e}")
     print(f"score delta: {score_delta:.3e}")
-    passed = max(per_channel.values()) <= args.tol and score_delta <= args.tol
+    passed = all(d <= args.tol for d in per_channel.values()) and score_delta <= args.tol
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1
 

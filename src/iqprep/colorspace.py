@@ -2,9 +2,9 @@
 
 Every supported color space is a 3x3 matrix of coefficients applied to the
 (R, G, B) vector of each pixel; the rows produce the luminance channel and
-the two chroma channels in that order. Spaces are data, not code: the
-built-in set lives in ``data/color_matrices.txt`` (grammar documented
-there) and user-supplied files with the same grammar load the same way.
+the two chroma channels in that order. The built-in spaces, YIQ and LMN,
+are constants below with their provenance; any other space is a
+``ColorMatrix(name, coefficients)``, which checks shape and finiteness.
 
 Per output channel the evaluation order is fixed as
 ``(c1*R + c2*G) + c3*B`` so independent implementations agree bit for bit
@@ -16,8 +16,6 @@ bits as their float64 casts without a full-resolution float copy of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "count_transform_ops",
     "builtin_matrices",
     "builtin_matrix",
-    "parse_matrix_config",
-    "load_matrix_file",
 ]
 
 _CHANNEL_NAMES = ("luma", "chroma1", "chroma2")
@@ -162,62 +158,29 @@ def count_transform_ops(height: int, width: int, channels: ChannelSet) -> OpCoun
     return OpCounter(multiplies=3 * n, adds=2 * n)
 
 
-def parse_matrix_config(text: str, source: str = "<config>") -> list[ColorMatrix]:
-    """Parse the plain-text matrix table format (see ``data/color_matrices.txt``).
-
-    Raises ``ValueError`` naming ``source`` and the line number on any
-    malformed line.
-    """
-    matrices = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 10:
-            raise ValueError(
-                f"{source}:{lineno}: expected a name and 9 coefficients, got {len(fields)} fields"
-            )
-        name = fields[0]
-        if name in seen:
-            raise ValueError(f"{source}:{lineno}: duplicate matrix name {name!r}")
-        seen.add(name)
-        try:
-            values = [float(tok) for tok in fields[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: bad coefficient: {exc}") from None
-        try:
-            matrix = ColorMatrix(name=name, coefficients=np.array(values).reshape(3, 3))
-        except ValueError as exc:  # non-finite coefficients
-            raise ValueError(f"{source}:{lineno}: {exc}") from None
-        matrices.append(matrix)
-    return matrices
-
-
-def load_matrix_file(path) -> list[ColorMatrix]:
-    """Load matrices from a config file on disk (same grammar as the built-ins)."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix_config(fh.read(), source=str(path))
-
-
-@lru_cache(maxsize=1)
-def _builtin() -> tuple[ColorMatrix, ...]:
-    text = resources.files("iqprep").joinpath("data/color_matrices.txt").read_text("ascii")
-    return tuple(parse_matrix_config(text, source="data/color_matrices.txt"))
+# The built-in spaces, rows (luma, chroma1, chroma2), cross-checked
+# against the metrics' released MATLAB code before freezing:
+#   yiq - NTSC YIQ as hard-coded in the FSIM/FSIMc reference
+#         implementation (its rgb2yiq step uses these rounded values).
+#   lmn - LMN opponent space as hard-coded in the VSI reference
+#         implementation; the same transform appears in SCQI's lineage.
+_BUILTIN = (
+    ColorMatrix("yiq", [[0.299, 0.587, 0.114], [0.596, -0.274, -0.322], [0.211, -0.523, 0.312]]),
+    ColorMatrix("lmn", [[0.06, 0.63, 0.27], [0.30, 0.04, -0.35], [0.34, -0.60, 0.17]]),
+)
 
 
 def builtin_matrices() -> list[ColorMatrix]:
     """The named conversion matrices shipped with the package."""
-    return list(_builtin())
+    return list(_BUILTIN)
 
 
 def builtin_matrix(name: str) -> ColorMatrix:
     """Look up a built-in matrix by name; ``identity`` is always available."""
     if name == "identity":
         return IDENTITY_MATRIX
-    for matrix in _builtin():
+    for matrix in _BUILTIN:
         if matrix.name == name:
             return matrix
-    known = ", ".join(["identity"] + [m.name for m in _builtin()])
+    known = ", ".join(["identity"] + [m.name for m in _BUILTIN])
     raise ValueError(f"unknown color matrix {name!r} (known: {known})")

@@ -22,6 +22,7 @@ differs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,9 @@ class MetricConfig:
     chroma_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.gradient_c > 0:
+        if not 0 < self.gradient_c < math.inf:
             raise ValueError(f"gradient_c must be positive, got {self.gradient_c}")
-        if not self.chroma_t > 0:
+        if not 0 < self.chroma_t < math.inf:
             raise ValueError(f"chroma_t must be positive, got {self.chroma_t}")
         if not 0.0 <= self.chroma_weight <= 1.0:
             raise ValueError(f"chroma_weight must lie in [0, 1], got {self.chroma_weight}")
@@ -115,11 +116,6 @@ def _squared_prewitt(plane: np.ndarray) -> np.ndarray:
     return squared
 
 
-def prewitt_magnitude(plane: np.ndarray) -> np.ndarray:
-    """Gradient magnitude from the two Prewitt masks, replicate-edge padded."""
-    return np.sqrt(_squared_prewitt(plane))
-
-
 def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = 160.0) -> np.ndarray:
     """Local structure similarity map from Prewitt gradient magnitudes.
 
@@ -128,7 +124,7 @@ def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = 1
     ref_luma, dst_luma : ndarray
       Luminance planes of identical shape, at least 3 x 3.
     c : float
-      Positive stability constant.
+      Positive, finite stability constant.
 
     Returns
     -------
@@ -140,7 +136,7 @@ def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = 1
       back to ``G`` (or, for ``G`` too small to square, to nothing ``c``
       notices), so equal gradients still give exactly 1.
     """
-    if not c > 0:
+    if not 0 < c < math.inf:
         raise ValueError(f"stability constant must be positive, got {c}")
     ref, dst = _check_pair(ref_luma, dst_luma)
     require_gradient_size(ref.shape)
@@ -161,9 +157,9 @@ def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray, t: float =
 
     Values lie in [-1, 1]: at most 1, exactly 1 where the planes agree,
     and possibly negative where the chroma values have opposite signs and
-    dominate the stability constant. Always finite for ``t > 0``.
+    dominate the stability constant. Always finite for finite ``t > 0``.
     """
-    if not t > 0:
+    if not 0 < t < math.inf:
         raise ValueError(f"stability constant must be positive, got {t}")
     ref, dst = _check_pair(ref_chroma, dst_chroma)
     return (2.0 * ref * dst + t) / (ref**2 + dst**2 + t)

@@ -303,12 +303,22 @@ class EquivalenceReport:
 def channel_differences(
     *pairs: tuple[PreprocessedChannels, PreprocessedChannels],
 ) -> dict[str, float]:
-    """Largest per-sample ``|first - second|`` of each channel over every (first, second) pair."""
+    """Largest per-sample ``|first - second|`` of each channel over every (first, second) pair.
+
+    A NaN difference anywhere makes its channel's value NaN. Raises
+    ``ValueError`` if the two results of a pair differ in channel set or
+    in plane shape.
+    """
     per_channel: dict[str, float] = {}
     for first, second in pairs:
         for name, a, b in zip(("luma", "chroma1", "chroma2"), first.planes, second.planes):
+            if (a is None) != (b is None):
+                raise ValueError(f"channel sets differ: {name} present on one result only")
             if a is not None:
-                per_channel[name] = max(per_channel.get(name, 0.0), float(np.max(np.abs(a - b))))
+                if a.shape != b.shape:
+                    raise ValueError(f"{name} planes differ in shape: {a.shape} vs {b.shape}")
+                diff = np.max(np.abs(a - b))  # NaN propagates through both maxima
+                per_channel[name] = float(np.maximum(per_channel.get(name, 0.0), diff))
     return per_channel
 
 
@@ -332,10 +342,9 @@ def verify_equivalence(
         run_downsample_first(image, matrix, channels, spec),
     )
     per_channel = channel_differences(pair)
-    worst = max(per_channel.values())
     return EquivalenceReport(
         per_channel=per_channel,
-        max_abs_diff=worst,
+        max_abs_diff=float(np.max(list(per_channel.values()))),
         tolerance=tolerance,
-        passed=worst <= tolerance,
+        passed=all(d <= tolerance for d in per_channel.values()),
     )

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from iqprep import pipeline
+from iqprep import cli, pipeline
 from iqprep.cli import _build_parser, main
 from iqprep.image import synth_image, write_pnm
 
@@ -70,6 +70,18 @@ def test_verify_preprocesses_each_image_once_per_ordering(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--size", "64x64")
     assert code == 0 and "PASS" in out
     assert sorted(s.value for s in calls) == ["convert-first"] * 2 + ["downsample-first"] * 2
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_verify_fails_on_a_nan_channel_difference(capsys, monkeypatch, position):
+    def with_nan(*pairs):
+        diffs = dict.fromkeys(("luma", "chroma1", "chroma2"), 0.0)
+        diffs[list(diffs)[position]] = float("nan")
+        return diffs
+
+    monkeypatch.setattr(cli, "channel_differences", with_nan)
+    code, out, _ = run_cli(capsys, "verify", "--size", "64x64")
+    assert code == 1 and out.endswith("FAIL\n")
 
 
 def test_python_dash_m_runs_the_cli(capsys):

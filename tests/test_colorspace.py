@@ -1,10 +1,16 @@
 import itertools
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iqprep
 from iqprep.colorspace import (
     IDENTITY_MATRIX,
     ChannelSet,
@@ -12,8 +18,6 @@ from iqprep.colorspace import (
     builtin_matrices,
     builtin_matrix,
     count_transform_ops,
-    load_matrix_file,
-    parse_matrix_config,
     transform,
 )
 from iqprep.counters import OpCounter
@@ -186,49 +190,50 @@ def test_color_matrix_validation():
         ColorMatrix("bad", np.zeros((2, 3)))
     with pytest.raises(ValueError, match="finite"):
         ColorMatrix("bad", np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        ColorMatrix("bad", [[np.inf, 0, 0], [0, 1, 0], [0, 0, 1]])
     frozen = ColorMatrix("ok", np.eye(3))
     with pytest.raises(ValueError):
         frozen.coefficients[0, 0] = 2.0  # read-only backing array
 
 
-def test_parse_matrix_config_grammar():
-    text = """
-    # comment line
-    gray 1 1 1  0 0 0  0 0 0   # trailing comment
-
-    swap 0 0 1  0 1 0  1 0 0
-    """
-    matrices = parse_matrix_config(text)
-    assert [m.name for m in matrices] == ["gray", "swap"]
-    assert matrices[1].coefficients[0, 2] == 1.0
-
-
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("onlyname 1 2 3", "9 coefficients"),
-        ("m 1 2 3 4 5 6 7 8 oops", "bad coefficient"),
-        ("dup 1 0 0 0 1 0 0 0 1\ndup 1 0 0 0 1 0 0 0 1", "duplicate"),
-        ("m 1 2 3 4 5 6 7 8 nan", "non-finite"),
-        ("m inf 0 0 0 1 0 0 0 1", "non-finite"),
-    ],
-)
-def test_parse_matrix_config_errors_name_line(line, message):
-    with pytest.raises(ValueError, match=message) as excinfo:
-        parse_matrix_config(line, source="test.txt")
-    assert "test.txt:" in str(excinfo.value)
+def test_builtin_coefficients_are_the_reference_literals():
+    # FSIMc's rgb2yiq and VSI's LMN step, digit for digit
+    assert [m.name for m in builtin_matrices()] == ["yiq", "lmn"]
+    yiq, lmn = builtin_matrices()
+    assert yiq.coefficients.tolist() == [
+        [0.299, 0.587, 0.114],
+        [0.596, -0.274, -0.322],
+        [0.211, -0.523, 0.312],
+    ]
+    assert lmn.coefficients.tolist() == [
+        [0.06, 0.63, 0.27],
+        [0.30, 0.04, -0.35],
+        [0.34, -0.60, 0.17],
+    ]
 
 
-def test_load_matrix_file(tmp_path):
-    path = tmp_path / "spaces.txt"
-    path.write_text("gray 0.5 0.25 0.25  0 0 0  0 0 0\n")
-    (matrix,) = load_matrix_file(path)
-    assert matrix.name == "gray"
-    assert matrix.coefficients[0, 0] == 0.5
-    path.write_text("# comment\ngray 0.5 0.25 nan  0 0 0  0 0 0\n")
-    with pytest.raises(ValueError, match="non-finite") as excinfo:
-        load_matrix_file(path)
-    assert f"{path}:2:" in str(excinfo.value)
+def test_builtins_need_only_the_python_sources(tmp_path):
+    package = tmp_path / "iqprep"
+    package.mkdir()
+    for source in Path(iqprep.__file__).parent.glob("*.py"):
+        shutil.copy(source, package)
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import iqprep; print(iqprep.__file__); "
+            "print(iqprep.builtin_matrix('lmn').coefficients.tolist())",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+    )
+    assert child.returncode == 0, child.stderr
+    where, coefficients = child.stdout.splitlines()
+    assert Path(where).parent == package
+    assert coefficients == str(builtin_matrix("lmn").coefficients.tolist())
 
 
 def test_builtin_matrix_lookup():

@@ -14,9 +14,9 @@ from iqprep.metrics import (
     _TILE_SAMPLES,
     MetricConfig,
     _chroma_power,
+    _squared_prewitt,
     chroma_similarity,
     gradient_similarity,
-    prewitt_magnitude,
     score,
 )
 from iqprep.pipeline import Strategy, preprocess
@@ -71,10 +71,9 @@ def test_two_flat_planes_give_all_ones():
 
 def test_prewitt_magnitude_against_brute_force():
     plane = np.arange(1.0, 10.0).reshape(3, 3)
-    np.testing.assert_allclose(
-        prewitt_magnitude(plane), brute_force_prewitt_magnitude(plane), atol=1e-12, rtol=0
-    )
-    assert abs(prewitt_magnitude(plane)[1, 1] - math.sqrt(40.0)) <= 1e-12
+    magnitude = np.sqrt(_squared_prewitt(plane))
+    np.testing.assert_allclose(magnitude, brute_force_prewitt_magnitude(plane), atol=1e-12, rtol=0)
+    assert abs(magnitude[1, 1] - math.sqrt(40.0)) <= 1e-12
 
 
 def _random_planes(h, w, seed):
@@ -92,7 +91,7 @@ def test_prewitt_and_gradient_similarity_against_brute_force(h, w, seed):
     ref, dst = _random_planes(h, w, seed)
     g_ref = brute_force_prewitt_magnitude(ref)
     g_dst = brute_force_prewitt_magnitude(dst)
-    np.testing.assert_allclose(prewitt_magnitude(ref), g_ref, atol=1e-12, rtol=1e-12)
+    np.testing.assert_allclose(np.sqrt(_squared_prewitt(ref)), g_ref, atol=1e-12, rtol=1e-12)
     c = 160.0
     expected = (2.0 * g_ref * g_dst + c) / (g_ref**2 + g_dst**2 + c)
     np.testing.assert_allclose(gradient_similarity(ref, dst, c), expected, atol=1e-12, rtol=0)
@@ -359,11 +358,15 @@ def test_dimension_mismatch_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="gradient_c"):
-        MetricConfig(gradient_c=0.0)
-    with pytest.raises(ValueError, match="chroma_t"):
-        MetricConfig(chroma_t=-1.0)
+    plane = np.arange(16.0).reshape(4, 4)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gradient_c"):
+            MetricConfig(gradient_c=bad)
+        with pytest.raises(ValueError, match="chroma_t"):
+            MetricConfig(chroma_t=bad)
+        with pytest.raises(ValueError, match="positive"):
+            gradient_similarity(plane, plane, bad)
+        with pytest.raises(ValueError, match="positive"):
+            chroma_similarity(plane, plane, bad)
     with pytest.raises(ValueError, match="chroma_weight"):
         MetricConfig(chroma_weight=1.5)
-    with pytest.raises(ValueError, match="positive"):
-        gradient_similarity(np.ones((3, 3)), np.ones((3, 3)), 0.0)

@@ -231,6 +231,28 @@ def test_channel_differences_takes_the_worst_pair_per_channel():
         assert channel_differences(*pairs) == want
 
 
+def test_nan_differences_reach_the_report_and_fail_it():
+    # 1e308 * R overflows, and inf - inf leaves NaN in most luma samples
+    big = ColorMatrix("big", [[1e308, -1e308, 1e308], [1, 0, 0], [0, 1, 0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_equivalence(synth_image(64, 64, 1), big)
+    assert np.isnan(report.per_channel["luma"])
+    assert np.isnan(report.max_abs_diff)
+    assert not report.passed
+
+
+def test_channel_differences_rejects_mismatched_results():
+    matrix = builtin_matrix("yiq")
+    spec = DownsampleSpec(2)
+    tall, flat = (preprocess(synth_image(h, 8, 1), matrix, ALL, spec=spec) for h in (10, 2))
+    with pytest.raises(ValueError, match=r"luma planes differ in shape: \(5, 4\) vs \(1, 4\)"):
+        channel_differences((tall, flat))
+    luma = preprocess(synth_image(10, 8, 1), matrix, LUMA, spec=spec)
+    for pair in ((tall, luma), (luma, tall)):
+        with pytest.raises(ValueError, match="chroma1 present on one result only"):
+            channel_differences(pair)
+
+
 def test_equivalence_randomized_channel_subsets():
     rng = np.random.default_rng(77)
     matrices = builtin_matrices()
