@@ -11,7 +11,6 @@ to floating-point reassociation, and therefore the same metric scores.
 from iqprep import (
     ChannelSet,
     DownsampleSpec,
-    MetricConfig,
     Strategy,
     builtin_matrices,
     run_convert_first,
@@ -34,16 +33,13 @@ for matrix in builtin_matrices():
 
 # The scores built on top agree to the same tolerance.
 matrix = builtin_matrices()[0]
-config = MetricConfig()
 score_cf = score(
     run_convert_first(ref, matrix, spec=spec),
     run_convert_first(dst, matrix, spec=spec),
-    config,
 )
 score_df = score(
     run_downsample_first(ref, matrix, spec=spec),
     run_downsample_first(dst, matrix, spec=spec),
-    config,
 )
 print(f"score convert-first    : {score_cf.value:.15f}")
 print(f"score downsample-first : {score_df.value:.15f}")

@@ -19,7 +19,7 @@ from iqprep.downsample import (
     separate_filter_then_decimate,
 )
 from iqprep.image import load_pnm, synth_image, write_pnm
-from iqprep.metrics import MetricConfig, score
+from iqprep.metrics import score
 from iqprep.pipeline import (
     Strategy,
     plan_pipeline,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSet",
     "DownsampleSpec",
-    "MetricConfig",
     "Strategy",
     "block_mean_decimate",
     "builtin_matrices",

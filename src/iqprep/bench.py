@@ -91,7 +91,6 @@ class BenchReport:
     """Ordered records plus the rendered machine and human outputs."""
 
     records: tuple[BenchRecord, ...]
-    rankings: dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
     csv: str
     markdown: str
 
@@ -251,13 +250,11 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
         lines.append(f"- {size}: " + ", ".join(parts))
     lines.append("")
 
-    rankings: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
     lines.append("## Ranking (fastest first)")
     lines.append("")
     for index, size in enumerate(sizes, start=1):
         cf_order = _ranking(records, size, Strategy.CONVERT_FIRST)
         df_order = _ranking(records, size, Strategy.DOWNSAMPLE_FIRST)
-        rankings[size] = (cf_order, df_order)
         if cf_order == df_order:
             lines.append(f"{index}. {size}: {', '.join(cf_order)} (no change)")
         else:
@@ -266,7 +263,6 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
 
     return BenchReport(
         records=tuple(records),
-        rankings=rankings,
         csv=csv_text,
         markdown="\n".join(lines),
     )

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -48,6 +49,8 @@ class RgbImage8:
     blue: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("height", "width"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.height < 1 or self.width < 1:
             raise ValueError(
                 f"image dimensions must be >= 1, got {self.height}x{self.width}"
@@ -200,12 +203,13 @@ def synth_image(height: int, width: int, seed: int) -> RgbImage8:
     height, width : int
       Image dimensions, both >= 1.
     seed : int
-      Any Python integer; reduced modulo 2**64.
+      Any integer, numpy integers included; reduced modulo 2**64.
 
     Returns
     -------
     RgbImage8
     """
+    height, width, seed = operator.index(height), operator.index(width), operator.index(seed)
     if height < 1 or width < 1:
         raise ValueError(f"image dimensions must be >= 1, got {height}x{width}")
     total = 3 * height * width

@@ -3,7 +3,7 @@
 These are deliberately small stand-ins with the same shape as the
 established full-reference metrics: a structure term from gradient
 magnitudes on the luminance channel, and a pointwise similarity term on
-each chroma channel, combined with a configurable chroma exponent. They
+each chroma channel, combined with a fixed chroma exponent. They
 exist so that end-to-end score invariance under a front-end strategy swap
 is assertable on something realistic, not to compete on prediction
 accuracy.
@@ -36,7 +36,6 @@ import scipy  # noqa: F401
 from iqprep.pipeline import PreprocessedChannels
 
 __all__ = [
-    "MetricConfig",
     "QualityScore",
     "gradient_similarity",
     "chroma_similarity",
@@ -44,26 +43,14 @@ __all__ = [
     "require_gradient_size",
 ]
 
-@dataclass(frozen=True)
-class MetricConfig:
-    """Stability constants and the chroma exponent.
-
-    ``gradient_c`` and ``chroma_t`` guard the similarity ratios against
-    division by zero and are sized for the 0..255 dynamic range; they move
-    absolute scores but not any of the invariances the tests pin down.
-    """
-
-    gradient_c: float = 160.0
-    chroma_t: float = 200.0
-    chroma_weight: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.gradient_c < math.inf:
-            raise ValueError(f"gradient_c must be positive, got {self.gradient_c}")
-        if not 0 < self.chroma_t < math.inf:
-            raise ValueError(f"chroma_t must be positive, got {self.chroma_t}")
-        if not 0.0 <= self.chroma_weight <= 1.0:
-            raise ValueError(f"chroma_weight must lie in [0, 1], got {self.chroma_weight}")
+# Stability constants and the chroma exponent of the stand-in metric:
+# FSIMc's T2 = 160 and T3 = T4 = 200, and a weight of 0.5 on the chroma
+# product. The constants guard the similarity ratios against division by
+# zero and are sized for the 0..255 dynamic range; they move absolute
+# scores but not any of the invariances the tests pin down.
+_GRADIENT_C = 160.0
+_CHROMA_T = 200.0
+_CHROMA_WEIGHT = 0.5
 
 
 @dataclass(frozen=True)
@@ -116,7 +103,7 @@ def _squared_prewitt(plane: np.ndarray) -> np.ndarray:
     return squared
 
 
-def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = 160.0) -> np.ndarray:
+def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = _GRADIENT_C) -> np.ndarray:
     """Local structure similarity map from Prewitt gradient magnitudes.
 
     Parameters
@@ -152,7 +139,7 @@ def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = 1
     return similarity
 
 
-def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray, t: float = 200.0) -> np.ndarray:
+def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray, t: float = _CHROMA_T) -> np.ndarray:
     """Pointwise chroma similarity map ``(2*r*d + t) / (r^2 + d^2 + t)``.
 
     Values lie in [-1, 1]: at most 1, exactly 1 where the planes agree,
@@ -178,7 +165,7 @@ def _chroma_power(product: np.ndarray, weight: float) -> np.ndarray:
 
 
 def _tile_sums(
-    ref: PreprocessedChannels, dst: PreprocessedChannels, a: int, b: int, config: MetricConfig
+    ref: PreprocessedChannels, dst: PreprocessedChannels, a: int, b: int
 ) -> tuple[float, float, float, float]:
     """Sums of the composite, gradient, chroma1 and chroma2 maps over rows ``[a, b)``.
 
@@ -188,19 +175,19 @@ def _tile_sums(
     tile's maps are freed when this returns.
     """
     lo, hi = max(a - 1, 0), min(b + 1, ref.luma.shape[0])
-    gradient_map = gradient_similarity(ref.luma[lo:hi], dst.luma[lo:hi], config.gradient_c)
+    gradient_map = gradient_similarity(ref.luma[lo:hi], dst.luma[lo:hi])
     gradient_map = gradient_map[a - lo : b - lo]
     chroma_sums = [0.0, 0.0]
     product = None
     for i, (ref_c, dst_c) in enumerate(zip(ref.planes[1:], dst.planes[1:])):
         if ref_c is not None:
-            cmap = chroma_similarity(ref_c[a:b], dst_c[a:b], config.chroma_t)
+            cmap = chroma_similarity(ref_c[a:b], dst_c[a:b])
             chroma_sums[i] = float(cmap.sum())
             product = cmap if product is None else product * cmap
     if product is None:
         composite = gradient_map
     else:
-        composite = gradient_map * _chroma_power(product, config.chroma_weight)
+        composite = gradient_map * _chroma_power(product, _CHROMA_WEIGHT)
     return (float(composite.sum()), float(gradient_map.sum()), *chroma_sums)
 
 
@@ -210,15 +197,11 @@ def _tile_sums(
 _TILE_SAMPLES = 1 << 15
 
 
-def score(
-    ref: PreprocessedChannels,
-    dst: PreprocessedChannels,
-    config: MetricConfig = MetricConfig(),
-) -> QualityScore:
+def score(ref: PreprocessedChannels, dst: PreprocessedChannels) -> QualityScore:
     """Pool the similarity maps of two preprocessed images into one scalar.
 
     The pooled value is the pixel mean of
-    ``gradient_map * (chroma1_map * chroma2_map) ** chroma_weight``
+    ``gradient_map * (chroma1_map * chroma2_map) ** 0.5``
     over whichever chroma channels are present, or of the gradient map
     alone for luminance-only inputs. Identical inputs score exactly 1.0.
 
@@ -245,7 +228,7 @@ def score(
     sums = [0.0, 0.0, 0.0, 0.0]
     for a in range(0, h - 1, rows):
         b = a + rows if a + rows < h - 1 else h
-        sums = [s + t for s, t in zip(sums, _tile_sums(ref, dst, a, b, config))]
+        sums = [s + t for s, t in zip(sums, _tile_sums(ref, dst, a, b))]
     value, gradient, chroma1, chroma2 = (s / (h * w) for s in sums)
     return QualityScore(
         value=value,

@@ -121,7 +121,6 @@ def test_csv_row_count_matches_record_count():
 def test_ranking_arrow_on_swapped_order():
     report = emit_report(make_golden_records())
     # at 16x16 convert-first ranks beta first, downsample-first ranks alpha first
-    assert report.rankings["16x16"] == (("beta", "alpha"), ("alpha", "beta"))
     assert "2. 16x16: beta, alpha ⇒ alpha, beta" in report.markdown
     # at 8x8 the zeroed timings tie and name order is stable on both sides
     assert "1. 8x8: alpha, beta (no change)" in report.markdown

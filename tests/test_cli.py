@@ -135,6 +135,39 @@ def test_score_auto_1080p_selects_downsample_first_m4(capsys, tmp_path):
     assert "strategy downsample-first  M 4" in out
 
 
+@pytest.mark.parametrize(
+    "options, expected",
+    [
+        (
+            ("--matrix", "yiq"),
+            "score 0.256131501\n"
+            "  gradient 0.815626892\n"
+            "  chroma1  0.239574858\n"
+            "  chroma2  0.276601274\n"
+            "strategy downsample-first  M 2\n"
+            "conversion ops: 884736 mul, 589824 add\n"
+            "filtering ops:  294912 mul, 884736 add\n",
+        ),
+        (
+            ("--matrix", "lmn", "--luma-only"),
+            "score 0.814169628\n"
+            "  gradient 0.814169628\n"
+            "strategy convert-first  M 2\n"
+            "conversion ops: 1179648 mul, 786432 add\n"
+            "filtering ops:  98304 mul, 294912 add\n",
+        ),
+    ],
+    ids=["yiq", "lmn-luma-only"],
+)
+def test_score_output_text_384x512(capsys, tmp_path, options, expected):
+    ref = tmp_path / "ref.ppm"
+    dst = tmp_path / "dst.ppm"
+    write_pnm(synth_image(384, 512, 1), ref)
+    write_pnm(synth_image(384, 512, 2), dst)
+    code, out, err = run_cli(capsys, "score", "--ref", str(ref), "--dst", str(dst), *options)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_score_dimension_mismatch(capsys, tmp_path):
     ref = tmp_path / "ref.ppm"
     dst = tmp_path / "dst.ppm"

@@ -216,6 +216,31 @@ def test_image_validation():
         RgbImage8(0, 2, good, good, good)
 
 
+def test_integer_like_sizes_and_seeds_act_as_python_ints():
+    want = synth_image(8, 8, 5)
+    got = synth_image(np.int64(8), np.int32(8), np.int64(5))
+    assert (type(got.height), type(got.width)) == (int, int)
+    for a, b in zip(got.channels, want.channels):
+        np.testing.assert_array_equal(a, b)
+    top = synth_image(8, 8, np.uint64(U64))
+    for a, b in zip(top.channels, synth_image(8, 8, U64).channels):
+        np.testing.assert_array_equal(a, b)
+    img = RgbImage8(np.int64(8), np.uint16(8), *want.channels)
+    assert (img.height, img.width) == (8, 8)
+    assert (type(img.height), type(img.width)) == (int, int)
+
+
+def test_non_integer_sizes_and_seeds_are_rejected():
+    chan = np.zeros((4, 4), dtype=np.uint8)
+    for height, width in ((4.0, 4), (4, 4.0)):
+        with pytest.raises(TypeError):
+            RgbImage8(height, width, chan, chan, chan)
+        with pytest.raises(TypeError):
+            synth_image(height, width, 1)
+    with pytest.raises(TypeError):
+        synth_image(4, 4, 1.0)
+
+
 def splitmix64_top_byte(seed, i):
     """Top byte of SplitMix64 output ``i`` (from 0), in Python integers."""
     z = (seed + 0x9E3779B97F4A7C15 * (i + 1)) & U64

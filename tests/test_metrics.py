@@ -12,7 +12,6 @@ from iqprep.downsample import DownsampleSpec, compute_factor
 from iqprep.image import synth_image
 from iqprep.metrics import (
     _TILE_SAMPLES,
-    MetricConfig,
     _chroma_power,
     _squared_prewitt,
     chroma_similarity,
@@ -166,16 +165,6 @@ def test_score_identical_inputs_is_exactly_one():
     assert result.chroma1 == 1.0 and result.chroma2 == 1.0
 
 
-def test_zero_chroma_weight_ignores_chroma_contents():
-    ref, dst = _preprocessed_pair(seed=6)
-    ref2, dst2 = _preprocessed_pair(seed=6)
-    # corrupt only the chroma planes of the second pair
-    object.__setattr__(dst2, "chroma1", dst2.chroma1 * -3.0 + 7.0)
-    object.__setattr__(dst2, "chroma2", dst2.chroma2 * 0.5 - 40.0)
-    config = MetricConfig(chroma_weight=0.0)
-    assert score(ref, dst, config).value == score(ref2, dst2, config).value
-
-
 def test_score_strategy_invariance_seed3():
     matrix = builtin_matrix("yiq")
     ref = synth_image(96, 128, 3)
@@ -211,7 +200,7 @@ def test_negative_chroma_product_uses_real_power():
     object.__setattr__(ref, "chroma2", ref.chroma1)
     object.__setattr__(dst, "chroma2", dst.chroma1 * 0.0 + 80.0)
     weight = 0.5
-    result = score(ref, dst, MetricConfig(chroma_weight=weight))
+    result = score(ref, dst)
     assert math.isfinite(result.value)
     t = 200.0
     c1 = (2.0 * 80.0 * -80.0 + t) / (80.0**2 + 80.0**2 + t)
@@ -305,14 +294,17 @@ def test_score_rejects_results_of_different_sizes():
         score(ref, dst)
 
 
-def _whole_map_score(ref, dst, config=MetricConfig()):
-    """score() spelled out on whole-plane maps, pooled with np.mean."""
-    gradient_map = gradient_similarity(ref.luma, dst.luma, config.gradient_c)
+def _whole_map_score(ref, dst):
+    """score() spelled out on whole-plane maps, pooled with np.mean.
+
+    The maps take their default constants, so score() must use the same ones.
+    """
+    gradient_map = gradient_similarity(ref.luma, dst.luma)
     if ref.chroma1 is None:
         return (gradient_map.mean(), gradient_map.mean(), None, None)
-    c1 = chroma_similarity(ref.chroma1, dst.chroma1, config.chroma_t)
-    c2 = chroma_similarity(ref.chroma2, dst.chroma2, config.chroma_t)
-    composite = gradient_map * _chroma_power(c1 * c2, config.chroma_weight)
+    c1 = chroma_similarity(ref.chroma1, dst.chroma1)
+    c2 = chroma_similarity(ref.chroma2, dst.chroma2)
+    composite = gradient_map * _chroma_power(c1 * c2, 0.5)
     return (composite.mean(), gradient_map.mean(), c1.mean(), c2.mean())
 
 
@@ -360,13 +352,7 @@ def test_dimension_mismatch_rejected():
 def test_config_validation():
     plane = np.arange(16.0).reshape(4, 4)
     for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="gradient_c"):
-            MetricConfig(gradient_c=bad)
-        with pytest.raises(ValueError, match="chroma_t"):
-            MetricConfig(chroma_t=bad)
         with pytest.raises(ValueError, match="positive"):
             gradient_similarity(plane, plane, bad)
         with pytest.raises(ValueError, match="positive"):
             chroma_similarity(plane, plane, bad)
-    with pytest.raises(ValueError, match="chroma_weight"):
-        MetricConfig(chroma_weight=1.5)
