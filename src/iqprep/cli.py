@@ -7,14 +7,13 @@ Exit codes: 0 on success / within tolerance, 1 on a tolerance violation
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from iqprep.bench import emit_report, run_bench
 from iqprep.colorspace import ChannelSet, builtin_matrix
 from iqprep.image import PnmParseError, load_pnm, synth_image
 from iqprep.metrics import score
-from iqprep.pipeline import Strategy, channel_differences, preprocess
+from iqprep.pipeline import Strategy, channel_differences, preprocess, tolerance_rule
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -97,7 +96,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 0 < args.tol < math.inf:
+    try:
+        within = tolerance_rule(args.tol)
+    except ValueError:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
     try:
@@ -132,7 +133,7 @@ def _cmd_verify(args) -> int:
     for name, diff in per_channel.items():
         print(f"  {name:8s} {diff:.3e}")
     print(f"score delta: {score_delta:.3e}")
-    passed = all(d <= args.tol for d in per_channel.values()) and score_delta <= args.tol
+    passed = within([*per_channel.values(), score_delta])
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1
 

@@ -10,13 +10,12 @@ Two implementations of the same reduction are kept on purpose:
   filtered image at stride M from the origin. It exists as an
   independent oracle for the fused path and is not instrumented.
 
-On float planes both accumulate the M^2 in-block samples in the same
-fixed row-major order and scale by the same reciprocal, so on identical
-input they agree bit for bit, not merely within tolerance. 8-bit planes
-take an integer path in :func:`block_mean_decimate`: every partial block
-sum is an integer of at most M^2 * 255, exact in any order, so it sums
-rows first (the cheap order) and the result still equals the float path
-on the same values bit for bit.
+Both sum each block in one fixed order, whatever the input dtype: the M
+rows of each column first, then the M column sums, and scale once by
+the same reciprocal 1/M^2. On identical input they therefore agree bit
+for bit, not merely within tolerance. 8-bit planes are summed in
+integers, where every partial sum is exact, so the result equals the
+float64 path on the same values bit for bit as well.
 
 Boundary policy (fixed in v1): trailing rows/columns that do not fill a
 complete block are dropped, with the block grid anchored at (0, 0). This
@@ -93,11 +92,9 @@ def block_mean_decimate(
     arithmetic mean of the input block with top-left corner (i*M, j*M).
     The M^2 block samples are summed and scaled once by 1/M^2, which costs
     M^2 - 1 adds and 1 multiply per output sample; ``counter``, when
-    given, is incremented by exactly that. Float planes are summed in
-    row-major block order. uint8 planes are summed exactly in the smallest
-    unsigned integer type that holds M^2 * 255, rows of each block first
-    and then columns; since every partial sum is exact, the float64 result
-    equals the float path on the same values bit for bit.
+    given, is incremented by exactly that. uint8 and float planes alike
+    are summed rows of each block first, then columns; uint8 sums are
+    exact, so they equal the float64 result on the same values.
 
     Parameters
     ----------
@@ -128,34 +125,23 @@ def block_mean_decimate(
     out_h, out_w = h // m, w // m
     if out_h == 0 or out_w == 0:
         raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
-    trimmed = p[: out_h * m, : out_w * m]
-    if integer:
-        out = _integer_block_mean(trimmed, m)
-    else:
-        # Fixed row-major accumulation over the block, seeded with the
-        # (0, 0) sample: m*m - 1 vectorized adds over the output grid.
-        acc = trimmed[0::m, 0::m].copy()
-        for k in range(m):
-            for l in range(m):
-                if k == 0 and l == 0:
-                    continue
-                acc += trimmed[k::m, l::m]
-        out = acc * (1.0 / (m * m))
+    out = _block_mean(p[: out_h * m, : out_w * m], m)
     if counter is not None:
         n_out = out_h * out_w
         counter.record(multiplies=n_out, adds=(m * m - 1) * n_out)
     return out
 
 
-def _integer_block_mean(trimmed: np.ndarray, m: int) -> np.ndarray:
-    """Block means of a uint8 plane whose sides are multiples of ``m``.
+def _block_mean(trimmed: np.ndarray, m: int) -> np.ndarray:
+    """Block means of a uint8 or float64 plane whose sides are multiples of ``m``.
 
     The M rows of each block are added first, over contiguous full-width
     rows (M(M-1) adds per output sample), then the M columns of the
-    M-times narrower row sums (M-1 adds). Every partial sum is an integer
-    of at most M^2 * 255 and fits ``acc_t``, so the sums are exact.
+    M-times narrower row sums (M-1 adds). uint8 planes accumulate in the
+    smallest unsigned type that holds M^2 * 255, so every partial sum is
+    exact; float64 planes accumulate in float64.
     """
-    acc_t = np.min_scalar_type(m * m * 255)
+    acc_t = np.min_scalar_type(m * m * 255) if trimmed.dtype == np.uint8 else np.float64
     cols = trimmed[0::m].astype(acc_t)
     for k in range(1, m):
         cols += trimmed[k::m]
@@ -163,7 +149,7 @@ def _integer_block_mean(trimmed: np.ndarray, m: int) -> np.ndarray:
     for l in range(1, m):
         acc += cols[:, l::m]
     # The explicit dtype keeps value-based casting (numpy < 2) from
-    # narrowing the result below float64.
+    # narrowing an integer sum below float64.
     return np.multiply(acc, 1.0 / (m * m), dtype=np.float64)
 
 
@@ -172,9 +158,10 @@ def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np
 
     The filtered value at (i, j) is the uniform-weight mean of the M x M
     window anchored there, computed at every valid position (no padding);
-    the result is then sampled at stride M starting from (0, 0). The
-    retained positions and the per-sample accumulation order match
-    :func:`block_mean_decimate` exactly, so the two paths are bit-equal.
+    the result is then sampled at stride M starting from (0, 0). Each
+    window is summed rows first, for each column offset, then over the
+    column offsets, and scaled by 1/M^2: the order of
+    :func:`block_mean_decimate`, so the two paths are bit-equal.
     """
     p = _as_plane(plane)
     m = spec.factor
@@ -184,12 +171,12 @@ def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np
     if h < m or w < m:
         raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
     grid_h, grid_w = h - m + 1, w - m + 1
-    filtered = p[:grid_h, :grid_w].copy()
-    for k in range(m):
-        for l in range(m):
-            if k == 0 and l == 0:
-                continue
-            filtered += p[k : k + grid_h, l : l + grid_w]
+    rows = p[:grid_h].copy()
+    for k in range(1, m):
+        rows += p[k : k + grid_h]
+    filtered = rows[:, :grid_w].copy()
+    for l in range(1, m):
+        filtered += rows[:, l : l + grid_w]
     filtered *= 1.0 / (m * m)
     return np.ascontiguousarray(filtered[::m, ::m])
 

@@ -35,6 +35,7 @@ plan through one executor.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,6 +64,7 @@ __all__ = [
     "run_downsample_first",
     "preprocess",
     "channel_differences",
+    "tolerance_rule",
     "verify_equivalence",
 ]
 
@@ -322,6 +324,16 @@ def channel_differences(
     return per_channel
 
 
+def tolerance_rule(tolerance: float) -> Callable[[Iterable[float]], bool]:
+    """The pass rule of an equivalence check: every difference at most ``tolerance``.
+
+    NaN never passes. Raises ``ValueError`` at once unless ``0 < tolerance < inf``.
+    """
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    return lambda differences: all(d <= tolerance for d in differences)
+
+
 def verify_equivalence(
     image: RgbImage8,
     matrix: ColorMatrix,
@@ -335,8 +347,7 @@ def verify_equivalence(
     of up to 64-term block sums on 0..255 inputs with coefficients of
     order one; it is configurable for adversarial matrices.
     """
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    within = tolerance_rule(tolerance)
     pair = (
         run_convert_first(image, matrix, channels, spec),
         run_downsample_first(image, matrix, channels, spec),
@@ -346,5 +357,5 @@ def verify_equivalence(
         per_channel=per_channel,
         max_abs_diff=float(np.max(list(per_channel.values()))),
         tolerance=tolerance,
-        passed=all(d <= tolerance for d in per_channel.values()),
+        passed=within(per_channel.values()),
     )

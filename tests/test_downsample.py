@@ -28,6 +28,23 @@ def brute_force_block_means(plane, factor):
     return out
 
 
+def rows_first_block_means(plane, factor):
+    """Scalar form of the production order: each column of a block summed
+    over its rows, then the column sums, then one multiply by 1/M^2."""
+    h, w = plane.shape
+    out = np.empty((h // factor, w // factor))
+    for i in range(h // factor):
+        for j in range(w // factor):
+            total = 0.0
+            for l in range(factor):
+                column = 0.0
+                for k in range(factor):
+                    column += plane[i * factor + k, j * factor + l]
+                total += column
+            out[i, j] = total * (1.0 / (factor * factor))
+    return out
+
+
 def test_2x2_block_mean():
     plane = np.array([[1.0, 2.0], [3.0, 4.0]])
     for reduce in (block_mean_decimate, separate_filter_then_decimate):
@@ -146,15 +163,25 @@ def test_fused_equals_oracle_on_ragged_planes(seed, factor, out_h, out_w, extra_
     rng = np.random.default_rng(seed)
     plane = rng.uniform(-100.0, 355.0, (out_h * factor + extra_h, out_w * factor + extra_w))
     fused = block_mean_decimate(plane, DownsampleSpec(factor))
-    np.testing.assert_allclose(
-        fused, separate_filter_then_decimate(plane, DownsampleSpec(factor)), atol=1e-10, rtol=0
-    )
+    literal = separate_filter_then_decimate(plane, DownsampleSpec(factor))
+    np.testing.assert_array_equal(fused, literal)
     if factor > 1:
-        # the scalar oracle divides instead of multiplying by the
-        # reciprocal, so it can differ in the last ulp
+        # the scalar oracle sums row-major and divides instead of
+        # multiplying by the reciprocal, so it can differ in the last ulps
         np.testing.assert_allclose(
             fused, brute_force_block_means(plane, factor), atol=1e-10, rtol=0
         )
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 8])
+def test_float_blocks_sum_rows_first(factor):
+    # float planes take the uint8 path's order: rows of each block, then
+    # columns, so the result is pinned bit for bit, not within a tolerance
+    rng = np.random.default_rng(factor)
+    plane = rng.uniform(-100.0, 355.0, (6 * factor - 1, 8 * factor - 1))
+    fused = block_mean_decimate(plane, DownsampleSpec(factor))
+    assert fused.shape == (5, 7)
+    np.testing.assert_array_equal(fused, rows_first_block_means(plane, factor))
 
 
 @settings(max_examples=30, deadline=None)
