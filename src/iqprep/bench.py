@@ -15,6 +15,7 @@ import csv
 import io
 import statistics
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from iqprep.colorspace import ChannelSet, ColorMatrix, builtin_matrix
@@ -117,6 +118,9 @@ def run_bench(sizes: list[tuple[int, int]], seed: int = 1, reps: int = 5) -> lis
     """
     if reps < 3:
         raise ValueError(f"need at least 3 repetitions for a median, got {reps}")
+    labels = [f"{height}x{width}" for height, width in sizes]
+    if len(set(labels)) < len(labels):  # a repeated size would time one cell twice
+        raise ValueError(f"each size may be given once, got {', '.join(labels)}")
     specs = [compute_factor(height, width) for height, width in sizes]
     # Every pipeline scores a gradient map; reject a size too small for it
     # before any other size is timed.
@@ -124,12 +128,11 @@ def run_bench(sizes: list[tuple[int, int]], seed: int = 1, reps: int = 5) -> lis
         require_gradient_size((height // spec.factor, width // spec.factor))
 
     records: list[BenchRecord] = []
-    for (height, width), spec in zip(sizes, specs):
-        label = f"{height}x{width}"
+    for (height, width), label, spec in zip(sizes, labels, specs):
         ref = synth_image(height, width, seed)
         dst = synth_image(height, width, seed + 1)
         for config in default_pipelines():
-            timed: dict[Strategy, tuple[float, float, float, StageOps]] = {}
+            timed = []
             for strategy in _STRATEGIES:
                 ops = _evaluate(ref, dst, config, strategy, spec)  # warm-up, untimed
                 elapsed = []
@@ -139,33 +142,27 @@ def run_bench(sizes: list[tuple[int, int]], seed: int = 1, reps: int = 5) -> lis
                     elapsed.append((time.perf_counter() - start) * 1e3)
                 if min(elapsed) <= 0.0:
                     raise RuntimeError("timer returned a non-positive duration")
-                timed[strategy] = (
-                    statistics.median(elapsed),
-                    min(elapsed),
-                    max(elapsed),
-                    ops,
+                timed.append((strategy, elapsed, ops))
+            cf_ms, df_ms = (statistics.median(elapsed) for _, elapsed, _ in timed)
+            records.extend(
+                BenchRecord(
+                    size_label=label,
+                    pipeline=config.name,
+                    strategy=strategy,
+                    ms_median=statistics.median(elapsed),
+                    ms_min=min(elapsed),
+                    ms_max=max(elapsed),
+                    conversion=ops.conversion,
+                    filtering=ops.filtering,
+                    factor=spec.factor,
+                    speedup=cf_ms / df_ms,
                 )
-            speedup = timed[Strategy.CONVERT_FIRST][0] / timed[Strategy.DOWNSAMPLE_FIRST][0]
-            for strategy in _STRATEGIES:
-                ms_median, ms_min, ms_max, ops = timed[strategy]
-                records.append(
-                    BenchRecord(
-                        size_label=label,
-                        pipeline=config.name,
-                        strategy=strategy,
-                        ms_median=ms_median,
-                        ms_min=ms_min,
-                        ms_max=ms_max,
-                        conversion=ops.conversion,
-                        filtering=ops.filtering,
-                        factor=spec.factor,
-                        speedup=speedup,
-                    )
-                )
+                for strategy, elapsed, ops in timed
+            )
     return records
 
 
-def _ranking(records: list[BenchRecord], size: str, strategy: Strategy) -> tuple[str, ...]:
+def _ranking(records: Iterable[BenchRecord], size: str, strategy: Strategy) -> tuple[str, ...]:
     rows = [r for r in records if r.size_label == size and r.strategy is strategy]
     rows.sort(key=lambda r: (r.ms_median, r.pipeline))  # name breaks exact ties
     return tuple(r.pipeline for r in rows)
@@ -253,8 +250,8 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
     lines.append("## Ranking (fastest first)")
     lines.append("")
     for index, size in enumerate(sizes, start=1):
-        cf_order = _ranking(records, size, Strategy.CONVERT_FIRST)
-        df_order = _ranking(records, size, Strategy.DOWNSAMPLE_FIRST)
+        cf_order = _ranking(cells.values(), size, Strategy.CONVERT_FIRST)
+        df_order = _ranking(cells.values(), size, Strategy.DOWNSAMPLE_FIRST)
         if cf_order == df_order:
             lines.append(f"{index}. {size}: {', '.join(cf_order)} (no change)")
         else:

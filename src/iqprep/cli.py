@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success / within tolerance, 1 on a tolerance violation
 (so ``verify`` is usable as a CI gate), 2 on usage or input errors.
+Each command raises on bad input; :func:`main` is the one place that
+turns a ``ValueError`` (``PnmParseError`` included) or an ``OSError``
+into ``error: <message>`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import sys
 
 from iqprep.bench import emit_report, run_bench
 from iqprep.colorspace import ChannelSet, builtin_matrix
-from iqprep.image import PnmParseError, load_pnm, synth_image
+from iqprep.image import load_pnm, synth_image
 from iqprep.metrics import score
 from iqprep.pipeline import Strategy, channel_differences, preprocess, tolerance_rule
 
@@ -76,20 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(args) -> int:
     if not args.sizes:
-        print("error: --sizes must name at least one HxW size", file=sys.stderr)
-        return 2
-    try:
-        records = run_bench(args.sizes, seed=args.seed, reps=args.reps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = emit_report(records)
+        raise ValueError("--sizes must name at least one HxW size")
+    report = emit_report(run_bench(args.sizes, seed=args.seed, reps=args.reps))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.csv)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise OSError(f"cannot write {args.out}: {exc}") from exc
     print(report.markdown)
     print(f"CSV written to {args.out}")
     return 0
@@ -99,13 +95,8 @@ def _cmd_verify(args) -> int:
     try:
         within = tolerance_rule(args.tol)
     except ValueError:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
-    try:
-        matrix = builtin_matrix(args.matrix)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--tol must be positive") from None
+    matrix = builtin_matrix(args.matrix)
     height, width = args.size
     channels = ChannelSet.all_channels()
     ref = synth_image(height, width, args.seed)
@@ -119,14 +110,7 @@ def _cmd_verify(args) -> int:
         for image in (ref, dst)
     )
     per_channel = channel_differences((cf_ref, df_ref), (cf_dst, df_dst))
-
-    try:
-        score_cf = score(cf_ref, cf_dst).value
-        score_df = score(df_ref, df_dst).value
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    score_delta = abs(score_cf - score_df)
+    score_delta = abs(score(cf_ref, cf_dst).value - score(df_ref, df_dst).value)
 
     print(f"size {height}x{width}  matrix {matrix.name}  M {cf_ref.plan.spec.factor}  tol {args.tol:g}")
     print("max |convert-first - downsample-first| per channel:")
@@ -139,30 +123,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    try:
-        matrix = builtin_matrix(args.matrix)
-        ref = load_pnm(args.ref)
-        dst = load_pnm(args.dst)
-    except (PnmParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    matrix = builtin_matrix(args.matrix)
+    ref = load_pnm(args.ref)
+    dst = load_pnm(args.dst)
     if (ref.height, ref.width) != (dst.height, dst.width):
-        print(
-            f"error: image dimensions differ: {ref.height}x{ref.width} vs "
-            f"{dst.height}x{dst.width}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"image dimensions differ: {ref.height}x{ref.width} vs {dst.height}x{dst.width}")
 
     channels = ChannelSet.luma_only() if args.luma_only else ChannelSet.all_channels()
     strategy = Strategy(args.strategy)
-    pre_ref = preprocess(ref, matrix, channels, strategy)
-    pre_dst = preprocess(dst, matrix, channels, strategy)
-    try:
-        result = score(pre_ref, pre_dst)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pre_ref, pre_dst = (preprocess(image, matrix, channels, strategy) for image in (ref, dst))
+    result = score(pre_ref, pre_dst)
     ops = pre_ref.ops + pre_dst.ops
 
     print(f"score {result.value:.9f}")
@@ -177,14 +147,16 @@ def _cmd_score(args) -> int:
     return 0
 
 
+_COMMANDS = {"bench": _cmd_bench, "verify": _cmd_verify, "score": _cmd_score}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_score(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:  # PnmParseError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -210,14 +210,15 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     """Run the ordering ``plan.strategy`` names and count both stages.
 
-    Both orderings work one row band at a time (see :func:`_band_rows`).
-    A band is a multiple of M rows, and the last band also takes the
-    ``h % M`` trailing rows, which fall outside every block. Convert-first
+    An image shorter or narrower than M is rejected before any work. Both
+    orderings then work one row band at a time (see :func:`_band_rows`).
+    A band is a multiple of M rows; the last band also takes the ``h % M``
+    trailing rows, which fall outside every block. Convert-first at M > 1
     passes a band through :func:`transform` and then
-    :func:`block_mean_decimate` into its rows of the preallocated
-    outputs; downsample-first reduces the band's three uint8 RGB rows and
-    then lets :func:`transform` write into those rows. At M = 1 both
-    orderings only convert, straight into the output rows. Every output
+    :func:`block_mean_decimate` into its rows of the preallocated outputs.
+    Otherwise (downsample-first, or M = 1, where both orderings only
+    convert) the band's uint8 RGB rows are reduced if M > 1 and
+    :func:`transform` writes straight into the output rows. Every output
     sample sees the same operations in the same order as whole-plane
     calls, so outputs and counters are identical to them, but no
     full-size intermediate is ever built.
@@ -226,19 +227,16 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     filtering = OpCounter()
     m = plan.spec.factor
     h, w = image.height, image.width
-    # Rows of whole blocks. An image shorter or narrower than M goes
-    # through as one band, so block_mean_decimate's error names the whole
-    # plane.
-    whole = h - h % m if w >= m else 0
+    if h < m or w < m:
+        raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
+    whole = h - h % m  # rows of whole blocks
     step = _band_rows(plan, w)
     outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
-    for a in range(0, max(whole, 1), step):
+    for a in range(0, whole, step):
         b = a + step if a + step < whole else h
         rgb = (c[a:b] for c in image.channels)
         rows = tuple(None if out is None else out[a // m : b // m] for out in outputs)
-        if m == 1:
-            transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
-        elif plan.strategy is Strategy.CONVERT_FIRST:
+        if m > 1 and plan.strategy is Strategy.CONVERT_FIRST:
             # The band stays alive until the next one replaces it. Freeing
             # it first made glibc's default malloc trim and re-fault its
             # heap on every band (README, "Benchmark protocol").
@@ -247,17 +245,11 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
                 if out is not None:
                     out[...] = block_mean_decimate(plane, plan.spec, counter=filtering)
         else:
-            # The reduced rows live only for the duration of the call.
-            reduced = (block_mean_decimate(c, plan.spec, counter=filtering) for c in rgb)
-            transform(*reduced, plan.matrix, plan.channels, counter=conversion, out=rows)
-    luma, chroma1, chroma2 = outputs
-    return PreprocessedChannels(
-        luma=luma,
-        chroma1=chroma1,
-        chroma2=chroma2,
-        plan=plan,
-        ops=StageOps(conversion=conversion, filtering=filtering),
-    )
+            if m > 1:
+                # The reduced rows live only for the duration of the call.
+                rgb = (block_mean_decimate(c, plan.spec, counter=filtering) for c in rgb)
+            transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
+    return PreprocessedChannels(*outputs, plan=plan, ops=StageOps(conversion, filtering))
 
 
 def run_convert_first(

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,21 @@ def test_too_small_size_is_rejected_before_any_timing(monkeypatch):
     with pytest.raises(ValueError, match=r"at least 3x3, got \(2, 5\)"):
         run_bench([(64, 64), (2, 5)], reps=3)
     assert calls == []
+
+
+def test_repeated_size_is_rejected_before_any_timing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "_evaluate", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="each size may be given once, got 16x16, 64x64, 16x16"):
+        run_bench([(16, 16), (64, 64), (16, 16)], reps=3)
+    assert calls == []
+
+
+def test_ranking_reads_the_first_record_of_each_cell():
+    records = make_golden_records()
+    # a later copy of every cell with the speed order of each size reversed
+    later = [replace(r, ms_median=10.0 - r.ms_median) for r in records]
+    assert emit_report(records + later).markdown == emit_report(records).markdown
 
 
 def test_single_record_csv():

@@ -258,6 +258,79 @@ def test_bench_unwritable_output(capsys, tmp_path):
     assert "cannot write" in err
 
 
+ERROR_PATHS = {
+    "verify-2x5": (
+        ("verify", "--size", "2x5"),
+        "gradient similarity needs planes of at least 3x3, got (2, 5)",
+    ),
+    "verify-tol-0": (("verify", "--size", "64x64", "--tol", "0"), "--tol must be positive"),
+    "verify-tol-nan": (("verify", "--size", "64x64", "--tol", "nan"), "--tol must be positive"),
+    "verify-tol-inf": (("verify", "--size", "64x64", "--tol", "inf"), "--tol must be positive"),
+    "verify-tol-neg": (("verify", "--size", "64x64", "--tol", "-1"), "--tol must be positive"),
+    "verify-matrix": (
+        ("verify", "--size", "8x8", "--matrix", "nope"),
+        "unknown color matrix 'nope' (known: identity, yiq, lmn)",
+    ),
+    "score-dimensions": (
+        ("score", "--ref", "8x8.ppm", "--dst", "8x9.ppm"),
+        "image dimensions differ: 8x8 vs 8x9",
+    ),
+    "score-2x5": (
+        ("score", "--ref", "ref2x5.ppm", "--dst", "dst2x5.ppm"),
+        "gradient similarity needs planes of at least 3x3, got (2, 5)",
+    ),
+    "score-truncated": (
+        ("score", "--ref", "truncated.ppm", "--dst", "8x8.ppm"),
+        "byte 16: truncated pixel payload: expected 48 bytes from byte 11, found 5",
+    ),
+    "score-missing": (
+        ("score", "--ref", "missing.ppm", "--dst", "8x8.ppm"),
+        "[Errno 2] No such file or directory: 'missing.ppm'",
+    ),
+    "score-matrix": (
+        ("score", "--ref", "8x8.ppm", "--dst", "8x8.ppm", "--matrix", "nope"),
+        "unknown color matrix 'nope' (known: identity, yiq, lmn)",
+    ),
+    "bench-2x5": (
+        ("bench", "--sizes", "2x5", "--reps", "3"),
+        "gradient similarity needs planes of at least 3x3, got (2, 5)",
+    ),
+    "bench-reps": (
+        ("bench", "--sizes", "8x8", "--reps", "2"),
+        "need at least 3 repetitions for a median, got 2",
+    ),
+    "bench-no-sizes": (
+        ("bench", "--sizes", ",", "--reps", "3"),
+        "--sizes must name at least one HxW size",
+    ),
+    "bench-unwritable": (
+        ("bench", "--sizes", "8x8", "--reps", "3", "--out", "nodir/report.csv"),
+        "cannot write nodir/report.csv: [Errno 2] No such file or directory: 'nodir/report.csv'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", ERROR_PATHS.values(), ids=ERROR_PATHS.keys())
+def test_input_errors_print_one_line_and_exit_2(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_pnm(synth_image(8, 8, 1), tmp_path / "8x8.ppm")
+    write_pnm(synth_image(8, 9, 1), tmp_path / "8x9.ppm")
+    write_pnm(synth_image(2, 5, 1), tmp_path / "ref2x5.ppm")
+    write_pnm(synth_image(2, 5, 2), tmp_path / "dst2x5.ppm")
+    (tmp_path / "truncated.ppm").write_bytes(b"P6\n4 4\n255\nshort")
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_bench_repeated_size_is_input_error(capsys, tmp_path):
+    out_path = tmp_path / "report.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--sizes", "16x16,16X16", "--reps", "3", "--out", str(out_path)
+    )
+    assert (code, out, err) == (2, "", "error: each size may be given once, got 16x16, 16x16\n")
+    assert not out_path.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from iqprep import pipeline
 from iqprep.colorspace import (
     IDENTITY_MATRIX,
     ChannelSet,
@@ -333,16 +334,24 @@ def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, n
 
 
 @pytest.mark.parametrize("height, width", [(3, 50000), (40000, 3), (2, 2)])
-def test_convert_first_plane_smaller_than_filter_raises(height, width):
-    # either ordering sends such an image through as one band, so the
-    # error names the whole plane
+def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, width):
+    # either ordering rejects such an image before converting anything,
+    # with the error block_mean_decimate gives for the whole plane
     spec = DownsampleSpec(4)
     with pytest.raises(ValueError) as whole_plane:
         block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
     img = synth_image(height, width, 1)
+    converted = []
+
+    def recording_transform(*args, **kwargs):
+        converted.append(args[0].shape)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "transform", recording_transform)
     for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
         with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
             preprocess(img, builtin_matrix("yiq"), LUMA, strategy, spec)
+    assert converted == []
 
 
 def test_convert_first_never_holds_a_full_resolution_float_plane():
