@@ -4,8 +4,11 @@ Convert-first versus downsample-first
 
 The conventional front-end converts color at full resolution and then
 reduces each converted channel. Running the reduction first and
-converting the small RGB planes afterwards produces the same channels up
-to floating-point reassociation, and therefore the same metric scores.
+converting the small RGB planes afterwards produces the same channels,
+and therefore the same metric scores. For the built-in matrices, whose
+coefficients are short decimals, both orderings sum integers and divide
+once, so the channels are bit-identical; any other matrix agrees up to
+floating-point reassociation.
 """
 
 from iqprep import (
@@ -31,7 +34,7 @@ for matrix in builtin_matrices():
     print(f"{matrix.name}: max per-channel |difference| =", report.per_channel,
           "->", "OK" if report.passed else "VIOLATION")
 
-# The scores built on top agree to the same tolerance.
+# The scores built on top are therefore identical as well.
 matrix = builtin_matrices()[0]
 score_cf = score(
     run_convert_first(ref, matrix, spec=spec),

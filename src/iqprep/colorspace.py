@@ -6,16 +6,20 @@ the two chroma channels in that order. The built-in spaces, YIQ and LMN,
 are constants below with their provenance; any other space is a
 ``ColorMatrix(name, coefficients)``, which checks shape and finiteness.
 
-Per output channel the evaluation order is fixed as
-``(c1*R + c2*G) + c3*B`` so independent implementations agree bit for bit
-in the common case. Input planes may be uint8 or float; each product is
-formed in float64 straight from the input, so 8-bit planes give the same
-bits as their float64 casts without a full-resolution float copy of them.
+Per output channel the evaluation order of :func:`transform` is fixed as
+``(c1*R + c2*G) + c3*B`` so independent float implementations agree bit
+for bit in the common case. Input planes may be uint8 or float; each
+product is formed in float64 straight from the input, so 8-bit planes
+give the same bits as their float64 casts without a full-resolution
+float copy of them. A matrix of decimals also has integer numerators
+(:attr:`ColorMatrix.decimal_form`), with which the pipeline converts
+exactly, in integers, where the order of the sums does not matter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
 ]
 
 _CHANNEL_NAMES = ("luma", "chroma1", "chroma2")
+_MAX_DECIMALS = 6
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,22 @@ class ColorMatrix:
             raise ValueError(f"matrix {self.name!r} has non-finite coefficients")
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
+
+    @cached_property
+    def decimal_form(self) -> tuple[tuple[tuple[int, int, int], ...], int] | None:
+        """``(numerators, d)`` with every coefficient equal to its numerator / 10^d, or None.
+
+        d is the smallest of 0..6 at which every coefficient c satisfies
+        ``rint(c * 10**d) / 10**d == c``: yiq at d = 3, lmn at 2, the
+        identity at 0. A matrix with no such d has no decimal form; its
+        coefficients are never rounded to make one.
+        """
+        with np.errstate(over="ignore"):  # huge coefficients scale to inf and fail the test
+            for d in range(_MAX_DECIMALS + 1):
+                scaled = np.rint(self.coefficients * 10**d)
+                if np.array_equal(scaled / 10**d, self.coefficients):
+                    return tuple(tuple(int(x) for x in row) for row in scaled), d
+        return None
 
 
 IDENTITY_MATRIX = ColorMatrix(name="identity", coefficients=np.eye(3))
@@ -130,22 +151,27 @@ def transform(
         raise ValueError(
             f"channel planes must share dimensions, got {r.shape}, {g.shape}, {b.shape}"
         )
-    result: list[np.ndarray | None] = [None, None, None]
     given = out if out is not None else (None, None, None)
     for slot in given:
         if slot is not None and (slot.shape != r.shape or slot.dtype != np.float64):
             raise ValueError(
                 f"out arrays must be float64 of shape {r.shape}, got {slot.dtype} {slot.shape}"
             )
+    return _combine_rows(r, g, b, matrix.coefficients, channels, np.float64, counter, given)
+
+
+def _combine_rows(r, g, b, rows, channels, dtype, counter=None, out=(None, None, None)):
+    """``(c1*R + c2*G) + c3*B`` in ``dtype`` for each requested row ``(c1, c2, c3)`` of ``rows``."""
+    result: list[np.ndarray | None] = [None, None, None]
     n = r.size
-    term = np.empty(r.shape, dtype=np.float64)  # reused for the c2*G and c3*B products
+    term = np.empty(r.shape, dtype=dtype)  # reused for the c2*G and c3*B products
     for row, wanted in enumerate(channels.flags):
         if not wanted:
             continue
-        c = matrix.coefficients[row]
-        plane = np.multiply(r, c[0], out=given[row], dtype=np.float64)
-        plane += np.multiply(g, c[1], out=term, dtype=np.float64)
-        plane += np.multiply(b, c[2], out=term, dtype=np.float64)
+        c = rows[row]
+        plane = np.multiply(r, c[0], out=out[row], dtype=dtype)
+        plane += np.multiply(g, c[1], out=term, dtype=dtype)
+        plane += np.multiply(b, c[2], out=term, dtype=dtype)
         if counter is not None:
             counter.record(multiplies=3 * n, adds=2 * n)
         result[row] = plane

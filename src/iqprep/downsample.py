@@ -122,35 +122,36 @@ def block_mean_decimate(
     if m == 1:
         return p
     h, w = p.shape
-    out_h, out_w = h // m, w // m
-    if out_h == 0 or out_w == 0:
+    if h < m or w < m:
         raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
-    out = _block_mean(p[: out_h * m, : out_w * m], m)
+    # The explicit dtype keeps value-based casting (numpy < 2) from
+    # narrowing an integer sum below float64.
+    out = np.multiply(_block_sum(p, m), 1.0 / (m * m), dtype=np.float64)
     if counter is not None:
-        n_out = out_h * out_w
-        counter.record(multiplies=n_out, adds=(m * m - 1) * n_out)
+        counter.record(multiplies=out.size, adds=(m * m - 1) * out.size)
     return out
 
 
-def _block_mean(trimmed: np.ndarray, m: int) -> np.ndarray:
-    """Block means of a uint8 or float64 plane whose sides are multiples of ``m``.
+def _block_sum(plane: np.ndarray, m: int) -> np.ndarray:
+    """Sums of the whole M x M blocks of a 2-D plane at least M x M, for M >= 2.
 
-    The M rows of each block are added first, over contiguous full-width
-    rows (M(M-1) adds per output sample), then the M columns of the
-    M-times narrower row sums (M-1 adds). uint8 planes accumulate in the
-    smallest unsigned type that holds M^2 * 255, so every partial sum is
-    exact; float64 planes accumulate in float64.
+    Trailing rows and columns that fill no block are dropped. The M rows
+    of each block are added first, over contiguous full-width rows
+    (M(M-1) adds per output sample), then the M columns of the M-times
+    narrower row sums (M-1 adds). uint8 planes accumulate in the smallest
+    unsigned type that holds M^2 * 255, so every partial sum is exact;
+    other planes accumulate in their own dtype.
     """
-    acc_t = np.min_scalar_type(m * m * 255) if trimmed.dtype == np.uint8 else np.float64
-    cols = trimmed[0::m].astype(acc_t)
-    for k in range(1, m):
+    h, w = plane.shape
+    trimmed = plane[: h - h % m, : w - w % m]
+    acc_t = np.min_scalar_type(m * m * 255) if plane.dtype == np.uint8 else plane.dtype
+    cols = np.add(trimmed[0::m], trimmed[1::m], dtype=acc_t)
+    for k in range(2, m):
         cols += trimmed[k::m]
-    acc = cols[:, 0::m].copy()
-    for l in range(1, m):
+    acc = np.add(cols[:, 0::m], cols[:, 1::m])
+    for l in range(2, m):
         acc += cols[:, l::m]
-    # The explicit dtype keeps value-based casting (numpy < 2) from
-    # narrowing an integer sum below float64.
-    return np.multiply(acc, 1.0 / (m * m), dtype=np.float64)
+    return acc
 
 
 def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 A full-reference metric front-end takes an 8-bit RGB image and produces
 reduced-resolution luma/chroma planes. The two stages, a pointwise linear
-color transform and a linear box-filter reduction, commute up to
-floating-point reassociation, so they can run in either order:
+color transform and a linear box-filter reduction, commute, so they can
+run in either order:
 
 * convert-first: transform the k requested channels at full resolution,
   then filter + decimate each of them (the conventional order);
@@ -16,14 +16,18 @@ fewer pixels. When fewer than three channels are needed, convert-first
 filters fewer planes instead, which is why the selector keys on the
 channel count.
 
+For a matrix of decimals (both built-ins, and the identity) at M >= 2,
+both orderings sum integers and divide once, so they commute exactly:
+their outputs are bit-identical and each sample is its exact value
+rounded once. Other matrices run in float64, where the orderings agree
+up to floating-point reassociation.
+
 Both orderings run in row bands of whole M x M blocks. A convert-first
-band (about 2^16 samples) is converted and then reduced while its
-float64 planes are still in cache; a downsample-first band (about 2^14
-reduced samples) is reduced from the uint8 channels and then converted
-straight into its output rows. No full-size intermediate is built on
-either path. Each output sample sees the same operations in the same
-order as whole-plane calls, so the outputs are bit-identical and the
-counters unchanged.
+band (about 2^16 samples) is converted and then reduced while its planes
+are still in cache; a downsample-first band (about 2^14 reduced samples)
+is block-summed from the uint8 channels and then converted. No full-size
+intermediate is built on either path, and each output sample sees the
+same operations in the same order as in whole-plane calls.
 
 Every run carries exact multiply/add counters for both stages alongside
 the closed-form predictions, so the cost claims are checkable without a
@@ -41,10 +45,13 @@ from enum import Enum
 
 import numpy as np
 
-from iqprep.colorspace import ChannelSet, ColorMatrix, count_transform_ops, transform
+from iqprep.colorspace import ChannelSet, ColorMatrix, _combine_rows, count_transform_ops, transform
 from iqprep.counters import OpCounter
+# perfbench's traced run wraps transform and block_mean_decimate on this
+# module, so both stay attributes of it although _execute calls only the first.
 from iqprep.downsample import (
     DownsampleSpec,
+    _block_sum,
     block_mean_decimate,
     compute_factor,
     count_decimate_ops,
@@ -155,15 +162,16 @@ def predict_ops(
     """Closed-form stage costs of one execution on an ``height x width`` image."""
     if strategy is Strategy.AUTO:
         raise ValueError("predict_ops needs a concrete strategy, not AUTO")
-    # Convert-first converts the full grid and reduces the k converted
-    # planes; downsample-first reduces the three RGB planes and converts
-    # the reduced grid.
+    # Convert-first converts the full grid and block-sums the k converted
+    # planes; downsample-first block-sums the three RGB planes and converts
+    # the reduced grid. Either way the block sums are scaled once per
+    # output sample of each of the k requested channels.
     df = strategy is Strategy.DOWNSAMPLE_FIRST
     m, planes = (spec.factor, 3) if df else (1, channels.count)
     per_plane = count_decimate_ops(height, width, spec)
     return StageOps(
         conversion=count_transform_ops(height // m, width // m, channels),
-        filtering=OpCounter(per_plane.multiplies * planes, per_plane.adds * planes),
+        filtering=OpCounter(per_plane.multiplies * channels.count, per_plane.adds * planes),
     )
 
 
@@ -193,10 +201,10 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
     """Rows per band of :func:`_execute`: a multiple of M, at least M.
 
     A band converted at full resolution (convert-first, or M = 1) holds
-    about 2^16 samples, so its float64 planes are still in cache when
+    about 2^16 samples, so its converted planes are still in cache when
     they are reduced. Downsample-first converts only the reduced rows, so
     its band is sized by them: about 2^14 reduced samples (M^2 * 2^14
-    input samples), 128 KB per float64 plane. Its bands are therefore
+    input samples), 128 KB per float64 output plane. Its bands are therefore
     much taller, which keeps the numpy calls per image few: with 2^16
     input samples per band, call overhead more than doubled the time of a
     4K image at M = 8.
@@ -207,21 +215,44 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
     return m * max(1, samples // (m * width))
 
 
+def _arithmetic(plan: PipelinePlan) -> tuple:
+    """How :func:`_execute` converts and scales at M >= 2: ``(rows, dtype, scale, by)``.
+
+    A decimal matrix (see ``ColorMatrix.decimal_form``) takes the exact
+    path: its integer numerators, an integer dtype, and ``np.divide`` by
+    10^d * M^2. That needs block sums below 2^53 in magnitude (at most
+    255 * max row |numerators|_1 * M^2), so that they and the divisor are
+    exact in float64 and the one division is the only rounding; sums
+    below 2^31 fit int32, larger ones int64. Any other matrix takes the
+    float path: its coefficients in float64 and ``np.multiply`` by 1/M^2.
+    """
+    m = plan.spec.factor
+    if plan.matrix.decimal_form is not None:
+        numerators, d = plan.matrix.decimal_form
+        bound = 255 * m * m * max(sum(map(abs, row)) for row in numerators)
+        divisor = 10**d * m * m
+        if max(bound, divisor) < 1 << 53:
+            dtype = np.int32 if bound < 1 << 31 else np.int64
+            return numerators, dtype, np.divide, float(divisor)
+    return plan.matrix.coefficients, np.float64, np.multiply, 1.0 / (m * m)
+
+
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     """Run the ordering ``plan.strategy`` names and count both stages.
 
     An image shorter or narrower than M is rejected before any work. Both
     orderings then work one row band at a time (see :func:`_band_rows`).
     A band is a multiple of M rows; the last band also takes the ``h % M``
-    trailing rows, which fall outside every block. Convert-first at M > 1
-    passes a band through :func:`transform` and then
-    :func:`block_mean_decimate` into its rows of the preallocated outputs.
-    Otherwise (downsample-first, or M = 1, where both orderings only
-    convert) the band's uint8 RGB rows are reduced if M > 1 and
-    :func:`transform` writes straight into the output rows. Every output
-    sample sees the same operations in the same order as whole-plane
-    calls, so outputs and counters are identical to them, but no
-    full-size intermediate is ever built.
+    trailing rows, which fall outside every block. At M = 1 both
+    orderings only convert, with :func:`transform`, into the output rows.
+
+    At M >= 2 convert-first converts the band and block-sums the k
+    converted planes; downsample-first block-sums the three uint8 RGB
+    planes and converts the sums. Each requested plane of sums is then
+    scaled once into its output rows. For a decimal matrix all of this
+    runs on integers (see :func:`_arithmetic`), so both orderings build
+    the same integers and round them once: their outputs are identical.
+    No full-size intermediate is ever built.
     """
     conversion = OpCounter()
     filtering = OpCounter()
@@ -231,24 +262,36 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
     whole = h - h % m  # rows of whole blocks
     step = _band_rows(plan, w)
+    coefficients, dtype, scale, by = _arithmetic(plan)
     outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
+
+    def block_sum(plane: np.ndarray) -> np.ndarray:
+        sums = _block_sum(plane, m)
+        filtering.record(adds=(m * m - 1) * sums.size)
+        return sums
+
+    def convert(*planes: np.ndarray) -> tuple:
+        return _combine_rows(*planes, coefficients, plan.channels, dtype, conversion)
+
     for a in range(0, whole, step):
         b = a + step if a + step < whole else h
         rgb = (c[a:b] for c in image.channels)
         rows = tuple(None if out is None else out[a // m : b // m] for out in outputs)
-        if m > 1 and plan.strategy is Strategy.CONVERT_FIRST:
+        if m == 1:
+            transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
+            continue
+        if plan.strategy is Strategy.CONVERT_FIRST:
             # The band stays alive until the next one replaces it. Freeing
             # it first made glibc's default malloc trim and re-fault its
             # heap on every band (README, "Benchmark protocol").
-            band = transform(*rgb, plan.matrix, plan.channels, counter=conversion)
-            for out, plane in zip(rows, band):
-                if out is not None:
-                    out[...] = block_mean_decimate(plane, plan.spec, counter=filtering)
-        else:
-            if m > 1:
-                # The reduced rows live only for the duration of the call.
-                rgb = (block_mean_decimate(c, plan.spec, counter=filtering) for c in rgb)
-            transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
+            band = convert(*rgb)
+            sums = [None if p is None else block_sum(p) for p in band]
+        else:  # one cast per RGB plane, not one per product
+            sums = convert(*(block_sum(c).astype(dtype) for c in rgb))
+        for out, total in zip(rows, sums):
+            if out is not None:
+                scale(total, by, out=out)
+                filtering.record(multiplies=out.size)
     return PreprocessedChannels(*outputs, plan=plan, ops=StageOps(conversion, filtering))
 
 
@@ -335,9 +378,10 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Run both orderings and report the largest per-sample difference.
 
-    The default tolerance of 1e-9 absolute covers the reassociation noise
-    of up to 64-term block sums on 0..255 inputs with coefficients of
-    order one; it is configurable for adversarial matrices.
+    A decimal matrix at M >= 2 gives a difference of exactly 0. On the
+    float path, the default tolerance of 1e-9 absolute covers the
+    reassociation noise of up to 64-term block sums on 0..255 inputs with
+    coefficients of order one; it is configurable for adversarial matrices.
     """
     within = tolerance_rule(tolerance)
     pair = (

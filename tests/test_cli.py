@@ -35,13 +35,24 @@ def test_verify_seed42_384x512_yiq(capsys):
 
 
 def test_verify_impossible_tolerance_fails(capsys):
-    # the size rule gives M = 2 here, so reassociation noise is nonzero
-    # for a non-identity matrix and an impossibly tight tolerance trips
-    code, out, _ = run_cli(
+    # verify offers only decimal matrices, whose orderings both run on
+    # integers at M >= 2 (here M = 2), so even 1e-18 passes with nothing
+    # to spare; an impossible tolerance still fails on the float path
+    # (test_pipeline.py::test_impossible_tolerance_fails_on_the_float_path)
+    code, out, err = run_cli(
         capsys, "verify", "--size", "384x384", "--seed", "1", "--matrix", "yiq", "--tol", "1e-18"
     )
-    assert code == 1
-    assert "FAIL" in out
+    assert (code, out, err) == (
+        0,
+        "size 384x384  matrix yiq  M 2  tol 1e-18\n"
+        "max |convert-first - downsample-first| per channel:\n"
+        "  luma     0.000e+00\n"
+        "  chroma1  0.000e+00\n"
+        "  chroma2  0.000e+00\n"
+        "score delta: 0.000e+00\n"
+        "PASS\n",
+        "",
+    )
 
 
 def test_verify_zero_tolerance_is_rejected(capsys):

@@ -241,3 +241,18 @@ def test_builtin_matrix_lookup():
     assert builtin_matrix("yiq").name == "yiq"
     with pytest.raises(ValueError, match="unknown color matrix"):
         builtin_matrix("nope")
+
+
+def test_decimal_form_of_builtins_and_others():
+    yiq, lmn = builtin_matrices()
+    assert yiq.decimal_form == (((299, 587, 114), (596, -274, -322), (211, -523, 312)), 3)
+    assert lmn.decimal_form == (((6, 63, 27), (30, 4, -35), (34, -60, 17)), 2)
+    assert IDENTITY_MATRIX.decimal_form == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0)
+    # entries of 1/3 have no decimal form, and are not rounded into one
+    assert ColorMatrix("third", np.full((3, 3), 1 / 3)).decimal_form is None
+    # seven places is one too many; huge coefficients scale to inf harmlessly
+    assert ColorMatrix("fine", np.full((3, 3), 1.2345678)).decimal_form is None
+    assert ColorMatrix("huge", [[1e308, 0.5, 0], [0, 1, 0], [0, 0, 1]]).decimal_form is None
+    big = ColorMatrix("big", [[1e308, -1e308, 1e308], [1, 0, 0], [0, 1, 0]])
+    numerators, d = big.decimal_form
+    assert d == 0 and numerators[0] == (int(1e308), -int(1e308), int(1e308))

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from iqprep.colorspace import ChannelSet, builtin_matrix
 from iqprep.downsample import DownsampleSpec, compute_factor
-from iqprep.image import synth_image
+from iqprep.image import RgbImage8, synth_image
 from iqprep.metrics import (
     _TILE_SAMPLES,
     _chroma_power,
@@ -356,3 +356,33 @@ def test_config_validation():
             gradient_similarity(plane, plane, bad)
         with pytest.raises(ValueError, match="positive"):
             chroma_similarity(plane, plane, bad)
+
+
+def _chroma_zero_image(height, width, target, seed):
+    """Each pixel a random 8-bit triple with 596R - 274G - 322B == target.
+
+    YIQ's chroma1 is then exactly target / 1000 everywhere. For a pair at
+    +10000 and -10000 the chroma1 map's numerator 2*I_ref*I_dst + 200 is
+    exactly 0, so the score sits where the (c1*c2)^0.5 term turns any
+    rounding difference between the planes into a visible one.
+    """
+    r, g = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    rest = 596 * r - 274 * g - target  # must equal 322 * B
+    ok = (rest % 322 == 0) & (rest >= 0) & (rest <= 322 * 255)
+    triples = np.stack([r[ok], g[ok], rest[ok] // 322], axis=1).astype(np.uint8)
+    assert len(triples) == 214
+    pixels = triples[np.random.default_rng(seed).integers(0, len(triples), (height, width))]
+    return RgbImage8(height, width, *(np.ascontiguousarray(pixels[..., k]) for k in range(3)))
+
+
+@pytest.mark.parametrize("height, width, factor", [(256, 256, 4), (384, 512, 2), (1080, 1920, 4)])
+def test_orderings_score_identically_at_the_chroma_zero(height, width, factor):
+    matrix = builtin_matrix("yiq")
+    ref = _chroma_zero_image(height, width, 10000, seed=1)
+    dst = _chroma_zero_image(height, width, -10000, seed=2)
+    spec = DownsampleSpec(factor)
+    scores = []
+    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+        pair = (preprocess(img, matrix, ALL, strategy, spec) for img in (ref, dst))
+        scores.append(score(*pair))
+    assert scores[0] == scores[1]

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from iqprep.colorspace import (
     transform,
 )
 from iqprep.downsample import DownsampleSpec, block_mean_decimate, compute_factor
-from iqprep.image import synth_image
+from iqprep.image import RgbImage8, synth_image
 from iqprep.pipeline import (
     PipelinePlan,
     Strategy,
@@ -270,29 +271,77 @@ def test_equivalence_randomized_channel_subsets():
         assert set(report.per_channel) == set(channels.names())
 
 
+def _exact_oracle(img, matrix, channels, m):
+    """Each output sample as the exact block mean of the matrix's decimal form, rounded once.
+
+    The int64 block sums are exact and, for 8-bit inputs at these sizes,
+    below 2^53, so one float64 division rounds each exact rational once.
+    """
+    numerators, d = matrix.decimal_form
+    h, w = img.height - img.height % m, img.width - img.width % m
+    rgb = [c[:h, :w].astype(np.int64) for c in img.channels]
+    return [
+        sum(n * c for n, c in zip(row, rgb)).reshape(h // m, m, w // m, m).sum(axis=(1, 3))
+        / (10**d * m * m)
+        if wanted
+        else None
+        for row, wanted in zip(numerators, channels.flags)
+    ]
+
+
+def _float_composition(img, matrix, channels, spec, strategy):
+    """The float path of either ordering, spelled out stage by stage on float64 planes.
+
+    Convert-first is ``transform`` then ``block_mean_decimate``;
+    downsample-first converts the exact RGB block sums and scales each
+    requested plane by 1/M^2.
+    """
+    m = spec.factor
+    planes = _float_planes(img)
+    if strategy is Strategy.CONVERT_FIRST or m == 1:
+        converted = transform(*planes, matrix, channels)
+        return [None if p is None else block_mean_decimate(p, spec) for p in converted]
+    h, w = img.height - img.height % m, img.width - img.width % m
+    sums = [p[:h, :w].reshape(h // m, m, w // m, m).sum(axis=(1, 3)) for p in planes]
+    return [None if p is None else p * (1.0 / (m * m)) for p in transform(*sums, matrix, channels)]
+
+
+def _expected_planes(img, matrix, channels, spec, strategy):
+    if spec.factor > 1 and matrix.decimal_form is not None:
+        return _exact_oracle(img, matrix, channels, spec.factor)
+    return _float_composition(img, matrix, channels, spec, strategy)
+
+
+def _assert_planes_equal(got_planes, want_planes, *context):
+    for got, want in zip(got_planes, want_planes):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want), context
+
+
+# no decimal form: every entry of the first row is 1/3
+THIRD = ColorMatrix("third", [[1 / 3, 1 / 3, 1 / 3], [0.5, -1 / 3, -1 / 6], [1 / 7, 2 / 7, -3 / 7]])
+
+
 @pytest.mark.parametrize("strategy", [Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST])
 @pytest.mark.parametrize("factor", [1, 2, 3])
 def test_preprocess_equals_literal_float_composition(strategy, factor):
-    # the pipeline reads the uint8 channels directly; it must give the
-    # bits of the float64 composition spelled out stage by stage
+    # the pipeline reads the uint8 channels directly; a decimal matrix at
+    # M >= 2 must give the exact oracle's bits, anything else the bits of
+    # the float64 composition spelled out stage by stage
     img = synth_image(29, 37, factor)
-    matrix = builtin_matrix("yiq")
     spec = DownsampleSpec(factor)
-    for channels in CHANNEL_SETS:
-        result = preprocess(img, matrix, channels, strategy, spec)
-        if strategy is Strategy.CONVERT_FIRST:
-            expected = [
-                block_mean_decimate(p, spec) if p is not None else None
-                for p in transform(*_float_planes(img), matrix, channels)
-            ]
-        else:
-            expected = transform(
-                *(block_mean_decimate(p, spec) for p in _float_planes(img)), matrix, channels
-            )
-        for got, want in zip(result.planes, expected):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert np.array_equal(got, want), (strategy, factor, channels)
+    for matrix in (builtin_matrix("yiq"), THIRD):
+        for channels in CHANNEL_SETS:
+            result = preprocess(img, matrix, channels, strategy, spec)
+            expected = _expected_planes(img, matrix, channels, spec, strategy)
+            _assert_planes_equal(result.planes, expected, matrix.name, strategy, factor, channels)
+            if strategy is Strategy.DOWNSAMPLE_FIRST and factor in (1, 2) and matrix is THIRD:
+                # at power-of-two M, scaling the sums after converting them
+                # gives the bits of converting the block means
+                means = (block_mean_decimate(p, spec) for p in _float_planes(img))
+                _assert_planes_equal(result.planes, transform(*means, matrix, channels), factor)
 
 
 @pytest.mark.parametrize(
@@ -306,30 +355,19 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
         (300, 700, 1),  # M = 1, four bands
     ],
 )
-@pytest.mark.parametrize("name", ["identity", "yiq", "lmn"])
+@pytest.mark.parametrize("name", ["identity", "yiq", "lmn", "third"])
 def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, name):
     # both orderings run in row bands; across band edges each must still
-    # give the bits and counts of its stages applied to whole planes
+    # give the bits of its whole-plane oracle (exact for a decimal matrix
+    # at M >= 2, the float composition otherwise) and the predicted counts
     img = synth_image(height, width, factor)
-    matrix = builtin_matrix(name)
+    matrix = THIRD if name == "third" else builtin_matrix(name)
     spec = DownsampleSpec(factor)
     for channels in CHANNEL_SETS:
-        convert_first = [
-            block_mean_decimate(p, spec) if p is not None else None
-            for p in transform(*img.channels, matrix, channels)
-        ]
-        downsample_first = transform(
-            *(block_mean_decimate(c, spec) for c in img.channels), matrix, channels
-        )
-        for strategy, expected in (
-            (Strategy.CONVERT_FIRST, convert_first),
-            (Strategy.DOWNSAMPLE_FIRST, downsample_first),
-        ):
+        for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
             result = preprocess(img, matrix, channels, strategy, spec)
-            for got, want in zip(result.planes, expected):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert np.array_equal(got, want), (height, width, factor, channels, strategy)
+            expected = _expected_planes(img, matrix, channels, spec, strategy)
+            _assert_planes_equal(result.planes, expected, height, width, factor, channels, strategy)
             assert result.ops == result.plan.predicted
 
 
@@ -376,3 +414,103 @@ def test_downsample_first_never_holds_a_full_reduced_rgb_set():
     finally:
         tracemalloc.stop()
     assert peak < reduced_rgb_bytes
+
+
+def _fraction_oracle(img, matrix, channels, m):
+    """Python-integer block sums combined with the numerators, each mean rounded once."""
+    numerators, d = matrix.decimal_form
+    rgb = [c.tolist() for c in img.channels]
+    out = [np.empty((img.height // m, img.width // m)) if f else None for f in channels.flags]
+    for i in range(img.height // m):
+        for j in range(img.width // m):
+            sums = [sum(v for line in p[i * m : (i + 1) * m] for v in line[j * m : (j + 1) * m]) for p in rgb]
+            for plane, row in zip(out, numerators):
+                if plane is not None:
+                    total = sum(n * s for n, s in zip(row, sums))
+                    plane[i, j] = float(Fraction(total, 10**d * m * m))
+    return out
+
+
+def _filled(height, width, rgb):
+    return RgbImage8(height, width, *(np.full((height, width), v, dtype=np.uint8) for v in rgb))
+
+
+# all positive, so all-255 blocks reach the bound: 255 * 2997 * M^2 fits
+# int32 up to M = 53
+POSITIVE = ColorMatrix("positive", np.full((3, 3), 0.999))
+
+
+@pytest.mark.parametrize(
+    "name, factor, acc_t",
+    [
+        ("yiq", 16, np.int32),  # RGB block sums still fit uint16
+        ("yiq", 17, np.int32),  # RGB block sums need uint32
+        ("yiq", 84, np.int32),  # 255 * 1192 * 84^2 < 2^31
+        ("yiq", 85, np.int64),
+        ("positive", 53, np.int32),
+        ("positive", 54, np.int64),
+    ],
+)
+@pytest.mark.parametrize("fill", [(255, 255, 255), (0, 255, 255)], ids=["white", "cyan"])
+def test_exact_path_at_accumulator_edges(name, factor, acc_t, fill):
+    # (0, 255, 255) gives yiq's most negative chroma1; both orderings must
+    # equal the Python-integer oracle where each accumulator widens
+    matrix = POSITIVE if name == "positive" else builtin_matrix(name)
+    spec = DownsampleSpec(factor)
+    img = _filled(2 * factor + 1, factor + 2, fill)
+    want = _fraction_oracle(img, matrix, ALL, factor)
+    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+        result = preprocess(img, matrix, ALL, strategy, spec)
+        assert pipeline._arithmetic(result.plan)[1] is acc_t
+        _assert_planes_equal(result.planes, want, strategy)
+        assert result.ops == result.plan.predicted
+
+
+def test_small_images_equal_the_fraction_oracle():
+    rng = np.random.default_rng(16)
+    for case in range(40):
+        factor = int(rng.integers(2, 6))
+        height, width = (int(rng.integers(factor, 4 * factor + 3)) for _ in range(2))
+        matrix = (builtin_matrix("yiq"), builtin_matrix("lmn"), IDENTITY_MATRIX)[case % 3]
+        channels = CHANNEL_SETS[case % len(CHANNEL_SETS)]
+        img = synth_image(height, width, case)
+        want = _fraction_oracle(img, matrix, channels, factor)
+        for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+            result = preprocess(img, matrix, channels, strategy, DownsampleSpec(factor))
+            _assert_planes_equal(result.planes, want, case, strategy)
+
+
+def test_float_path_without_an_exact_form(monkeypatch):
+    big = ColorMatrix("big", [[1e308, -1e308, 1e308], [1, 0, 0], [0, 1, 0]])
+    cases = [
+        (builtin_matrix("yiq"), np.int32),
+        (builtin_matrix("lmn"), np.int32),
+        (IDENTITY_MATRIX, np.int32),
+        (THIRD, np.float64),  # no decimal form
+        (big, np.float64),  # decimal at d = 0, but its block sums pass 2^53
+    ]
+    for matrix, dtype in cases:
+        plan = plan_pipeline(16, 12, matrix, ALL, DownsampleSpec(2))
+        assert pipeline._arithmetic(plan)[1] is dtype, matrix.name
+    # at M = 1 both orderings only convert, with transform, for any matrix
+    calls = []
+
+    def recording_transform(*args, **kwargs):
+        calls.append(args[0].shape)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "transform", recording_transform)
+    img = synth_image(16, 12, 3)
+    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+        calls.clear()
+        preprocess(img, builtin_matrix("yiq"), ALL, strategy, DownsampleSpec(1))
+        assert calls == [(16, 12)]
+
+
+def test_impossible_tolerance_fails_on_the_float_path():
+    img = synth_image(384, 384, 1)
+    report = verify_equivalence(img, THIRD, tolerance=1e-18)
+    assert not report.passed
+    assert 0 < report.max_abs_diff <= 1e-9
+    exact = verify_equivalence(img, builtin_matrix("yiq"), tolerance=1e-18)
+    assert exact.passed and exact.max_abs_diff == 0.0
