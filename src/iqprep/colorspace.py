@@ -11,9 +11,10 @@ Per output channel the evaluation order of :func:`transform` is fixed as
 for bit in the common case. Input planes may be uint8 or float; each
 product is formed in float64 straight from the input, so 8-bit planes
 give the same bits as their float64 casts without a full-resolution
-float copy of them. A matrix of decimals also has integer numerators
-(:attr:`ColorMatrix.decimal_form`), with which the pipeline converts
-exactly, in integers, where the order of the sums does not matter.
+float copy of them. The pipeline combines rows in the same order, band
+by band: in float64 for most matrices, and exactly, in integers, for a
+matrix of decimals (:attr:`ColorMatrix.decimal_form`), whose integer
+numerators make the order of the sums irrelevant.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _MAX_DECIMALS = 6
 
 @dataclass(frozen=True)
 class ColorMatrix:
-    """A named 3x3 conversion matrix, rows ordered (luma, chroma1, chroma2)."""
+    """A named 3x3 conversion matrix, rows ordered (luma, chroma1, chroma2), compared by value."""
 
     name: str
     coefficients: np.ndarray
@@ -53,6 +54,15 @@ class ColorMatrix:
             raise ValueError(f"matrix {self.name!r} has non-finite coefficients")
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColorMatrix):
+            return NotImplemented
+        return self.name == other.name and np.array_equal(self.coefficients, other.coefficients)
+
+    def __hash__(self) -> int:
+        # Python floats hash -0.0 and 0.0 alike, as array_equal compares them
+        return hash((self.name, tuple(self.coefficients.ravel().tolist())))
 
     @cached_property
     def decimal_form(self) -> tuple[tuple[tuple[int, int, int], ...], int] | None:
@@ -117,7 +127,6 @@ def transform(
     matrix: ColorMatrix,
     channels: ChannelSet = ChannelSet.all_channels(),
     counter: OpCounter | None = None,
-    out: tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Apply the matrix rows pixelwise to the (R, G, B) planes.
 
@@ -136,31 +145,21 @@ def transform(
       Which of the three output rows to compute.
     counter : OpCounter, optional
       Receives the multiply/add tally of this call.
-    out : tuple of three ndarray or None, optional
-      Float64 arrays of the input shape, not overlapping the inputs, that
-      receive the requested channels slot for slot; a ``None`` slot gets
-      a new array. The values are the same bits either way.
 
     Returns
     -------
     (luma, chroma1, chroma2) : tuple of ndarray or None
-      The ``out`` arrays where given.
+      Float64 planes of the input shape.
     """
     r, g, b = np.asarray(red), np.asarray(green), np.asarray(blue)
     if not (r.shape == g.shape == b.shape):
         raise ValueError(
             f"channel planes must share dimensions, got {r.shape}, {g.shape}, {b.shape}"
         )
-    given = out if out is not None else (None, None, None)
-    for slot in given:
-        if slot is not None and (slot.shape != r.shape or slot.dtype != np.float64):
-            raise ValueError(
-                f"out arrays must be float64 of shape {r.shape}, got {slot.dtype} {slot.shape}"
-            )
-    return _combine_rows(r, g, b, matrix.coefficients, channels, np.float64, counter, given)
+    return _combine_rows(r, g, b, matrix.coefficients, channels, np.float64, counter)
 
 
-def _combine_rows(r, g, b, rows, channels, dtype, counter=None, out=(None, None, None)):
+def _combine_rows(r, g, b, rows, channels, dtype, counter=None):
     """``(c1*R + c2*G) + c3*B`` in ``dtype`` for each requested row ``(c1, c2, c3)`` of ``rows``."""
     result: list[np.ndarray | None] = [None, None, None]
     n = r.size
@@ -169,7 +168,7 @@ def _combine_rows(r, g, b, rows, channels, dtype, counter=None, out=(None, None,
         if not wanted:
             continue
         c = rows[row]
-        plane = np.multiply(r, c[0], out=out[row], dtype=dtype)
+        plane = np.multiply(r, c[0], dtype=dtype)
         plane += np.multiply(g, c[1], out=term, dtype=dtype)
         plane += np.multiply(b, c[2], out=term, dtype=dtype)
         if counter is not None:

@@ -22,7 +22,6 @@ differs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,28 +102,24 @@ def _squared_prewitt(plane: np.ndarray) -> np.ndarray:
     return squared
 
 
-def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = _GRADIENT_C) -> np.ndarray:
+def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray) -> np.ndarray:
     """Local structure similarity map from Prewitt gradient magnitudes.
 
     Parameters
     ----------
     ref_luma, dst_luma : ndarray
       Luminance planes of identical shape, at least 3 x 3.
-    c : float
-      Positive, finite stability constant.
 
     Returns
     -------
     ndarray
-      Per-pixel scores ``(2*g_r*g_d + c) / (g_r^2 + g_d^2 + c)``, each in
-      (0, 1], exactly 1 where the local gradients agree. They are formed
-      from the squared magnitudes ``G = g^2`` as
+      Per-pixel scores ``(2*g_r*g_d + c) / (g_r^2 + g_d^2 + c)``, c = 160,
+      each in (0, 1], exactly 1 where the local gradients agree. They are
+      formed from the squared magnitudes ``G = g^2`` as
       ``(2*sqrt(G_r*G_d) + c) / (G_r + G_d + c)``. ``sqrt(G*G)`` rounds
       back to ``G`` (or, for ``G`` too small to square, to nothing ``c``
       notices), so equal gradients still give exactly 1.
     """
-    if not 0 < c < math.inf:
-        raise ValueError(f"stability constant must be positive, got {c}")
     ref, dst = _check_pair(ref_luma, dst_luma)
     require_gradient_size(ref.shape)
     sq_ref = _squared_prewitt(ref)
@@ -132,24 +127,22 @@ def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray, c: float = _
     similarity = np.multiply(sq_ref, sq_dst)
     np.sqrt(similarity, out=similarity)
     similarity *= 2.0
-    similarity += c
+    similarity += _GRADIENT_C
     sq_ref += sq_dst
-    sq_ref += c
+    sq_ref += _GRADIENT_C
     similarity /= sq_ref
     return similarity
 
 
-def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray, t: float = _CHROMA_T) -> np.ndarray:
-    """Pointwise chroma similarity map ``(2*r*d + t) / (r^2 + d^2 + t)``.
+def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray) -> np.ndarray:
+    """Pointwise chroma similarity map ``(2*r*d + t) / (r^2 + d^2 + t)`` with ``t = 200``.
 
     Values lie in [-1, 1]: at most 1, exactly 1 where the planes agree,
     and possibly negative where the chroma values have opposite signs and
-    dominate the stability constant. Always finite for finite ``t > 0``.
+    dominate the stability constant, which keeps the denominator positive.
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"stability constant must be positive, got {t}")
     ref, dst = _check_pair(ref_chroma, dst_chroma)
-    return (2.0 * ref * dst + t) / (ref**2 + dst**2 + t)
+    return (2.0 * ref * dst + _CHROMA_T) / (ref**2 + dst**2 + _CHROMA_T)
 
 
 def _chroma_power(product: np.ndarray, weight: float) -> np.ndarray:

@@ -16,11 +16,11 @@ fewer pixels. When fewer than three channels are needed, convert-first
 filters fewer planes instead, which is why the selector keys on the
 channel count.
 
-For a matrix of decimals (both built-ins, and the identity) at M >= 2,
-both orderings sum integers and divide once, so they commute exactly:
-their outputs are bit-identical and each sample is its exact value
-rounded once. Other matrices run in float64, where the orderings agree
-up to floating-point reassociation.
+For a matrix of decimals (both built-ins, and the identity) both
+orderings sum integers and divide once, so they commute exactly: their
+outputs are bit-identical and each sample is its exact value rounded
+once. Other matrices run in float64, where the orderings agree up to
+floating-point reassociation.
 
 Both orderings run in row bands of whole M x M blocks. A convert-first
 band (about 2^16 samples) is converted and then reduced while its planes
@@ -48,7 +48,7 @@ import numpy as np
 from iqprep.colorspace import ChannelSet, ColorMatrix, _combine_rows, count_transform_ops, transform
 from iqprep.counters import OpCounter
 # perfbench's traced run wraps transform and block_mean_decimate on this
-# module, so both stay attributes of it although _execute calls only the first.
+# module, so both stay attributes of it although _execute calls neither.
 from iqprep.downsample import (
     DownsampleSpec,
     _block_sum,
@@ -118,9 +118,9 @@ class PipelinePlan:
             raise ValueError("a plan must carry a resolved strategy, not AUTO")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreprocessedChannels:
-    """Reduced-resolution output planes plus the plan and measured costs."""
+    """Reduced-resolution output planes plus the plan and measured costs, compared by identity."""
 
     luma: np.ndarray | None
     chroma1: np.ndarray | None
@@ -216,7 +216,7 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
 
 
 def _arithmetic(plan: PipelinePlan) -> tuple:
-    """How :func:`_execute` converts and scales at M >= 2: ``(rows, dtype, scale, by)``.
+    """How :func:`_execute` converts and scales: ``(rows, dtype, scale, by)``.
 
     A decimal matrix (see ``ColorMatrix.decimal_form``) takes the exact
     path: its integer numerators, an integer dtype, and ``np.divide`` by
@@ -243,16 +243,15 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     An image shorter or narrower than M is rejected before any work. Both
     orderings then work one row band at a time (see :func:`_band_rows`).
     A band is a multiple of M rows; the last band also takes the ``h % M``
-    trailing rows, which fall outside every block. At M = 1 both
-    orderings only convert, with :func:`transform`, into the output rows.
+    trailing rows, which fall outside every block.
 
-    At M >= 2 convert-first converts the band and block-sums the k
-    converted planes; downsample-first block-sums the three uint8 RGB
-    planes and converts the sums. Each requested plane of sums is then
-    scaled once into its output rows. For a decimal matrix all of this
-    runs on integers (see :func:`_arithmetic`), so both orderings build
-    the same integers and round them once: their outputs are identical.
-    No full-size intermediate is ever built.
+    Convert-first converts the band and block-sums the k converted
+    planes; downsample-first block-sums the three uint8 RGB planes and
+    converts the sums; at M = 1 a block sum is the sample itself. Each
+    requested plane of sums is then scaled once into its output rows. For
+    a decimal matrix all of this runs on integers (see :func:`_arithmetic`),
+    so both orderings build the same integers and round them once: their
+    outputs are identical. No full-size intermediate is ever built.
     """
     conversion = OpCounter()
     filtering = OpCounter()
@@ -266,6 +265,8 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
 
     def block_sum(plane: np.ndarray) -> np.ndarray:
+        if m == 1:
+            return plane
         sums = _block_sum(plane, m)
         filtering.record(adds=(m * m - 1) * sums.size)
         return sums
@@ -277,9 +278,6 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         b = a + step if a + step < whole else h
         rgb = (c[a:b] for c in image.channels)
         rows = tuple(None if out is None else out[a // m : b // m] for out in outputs)
-        if m == 1:
-            transform(*rgb, plan.matrix, plan.channels, counter=conversion, out=rows)
-            continue
         if plan.strategy is Strategy.CONVERT_FIRST:
             # The band stays alive until the next one replaces it. Freeing
             # it first made glibc's default malloc trim and re-fault its
@@ -291,7 +289,8 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         for out, total in zip(rows, sums):
             if out is not None:
                 scale(total, by, out=out)
-                filtering.record(multiplies=out.size)
+                # at M = 1 there is no mean to take; predict_ops counts none
+                filtering.record(multiplies=out.size if m > 1 else 0)
     return PreprocessedChannels(*outputs, plan=plan, ops=StageOps(conversion, filtering))
 
 
@@ -378,10 +377,10 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Run both orderings and report the largest per-sample difference.
 
-    A decimal matrix at M >= 2 gives a difference of exactly 0. On the
-    float path, the default tolerance of 1e-9 absolute covers the
-    reassociation noise of up to 64-term block sums on 0..255 inputs with
-    coefficients of order one; it is configurable for adversarial matrices.
+    A decimal matrix gives a difference of exactly 0. On the float path,
+    the default tolerance of 1e-9 absolute covers the reassociation noise
+    of up to 64-term block sums on 0..255 inputs with coefficients of
+    order one; it is configurable for adversarial matrices.
     """
     within = tolerance_rule(tolerance)
     pair = (

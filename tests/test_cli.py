@@ -36,8 +36,8 @@ def test_verify_seed42_384x512_yiq(capsys):
 
 def test_verify_impossible_tolerance_fails(capsys):
     # verify offers only decimal matrices, whose orderings both run on
-    # integers at M >= 2 (here M = 2), so even 1e-18 passes with nothing
-    # to spare; an impossible tolerance still fails on the float path
+    # integers, so even 1e-18 passes with nothing to spare; an impossible
+    # tolerance still fails on the float path
     # (test_pipeline.py::test_impossible_tolerance_fails_on_the_float_path)
     code, out, err = run_cli(
         capsys, "verify", "--size", "384x384", "--seed", "1", "--matrix", "yiq", "--tol", "1e-18"

@@ -10,6 +10,7 @@ from iqprep.colorspace import (
     IDENTITY_MATRIX,
     ChannelSet,
     ColorMatrix,
+    _combine_rows,
     builtin_matrices,
     builtin_matrix,
     transform,
@@ -197,6 +198,20 @@ def test_preprocess_resolves_auto():
         assert np.array_equal(a, b)
 
 
+def test_matrices_and_plans_compare_by_value_results_by_identity():
+    a, b = ColorMatrix("a", np.eye(3)), ColorMatrix("a", np.eye(3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ColorMatrix("b", np.eye(3)) and a != ColorMatrix("a", 2 * np.eye(3))
+    signed = ColorMatrix("a", np.where(np.eye(3) == 1, 1.0, -0.0))  # -0.0 equals 0.0
+    assert signed == a and hash(signed) == hash(a)
+    assert a != "a"
+    assert plan_pipeline(8, 8, a) == plan_pipeline(8, 8, b)
+    img = synth_image(8, 8, 1)
+    first, second = preprocess(img, a), preprocess(img, b)
+    assert first == first and first != second
+    assert channel_differences((first, second)) == {"luma": 0.0, "chroma1": 0.0, "chroma2": 0.0}
+
+
 def test_plan_defaults_to_size_rule_and_rejects_auto():
     plan = plan_pipeline(384, 512, builtin_matrix("yiq"))
     assert plan.spec.factor == 2
@@ -298,7 +313,7 @@ def _float_composition(img, matrix, channels, spec, strategy):
     """
     m = spec.factor
     planes = _float_planes(img)
-    if strategy is Strategy.CONVERT_FIRST or m == 1:
+    if strategy is Strategy.CONVERT_FIRST:
         converted = transform(*planes, matrix, channels)
         return [None if p is None else block_mean_decimate(p, spec) for p in converted]
     h, w = img.height - img.height % m, img.width - img.width % m
@@ -307,7 +322,7 @@ def _float_composition(img, matrix, channels, spec, strategy):
 
 
 def _expected_planes(img, matrix, channels, spec, strategy):
-    if spec.factor > 1 and matrix.decimal_form is not None:
+    if matrix.decimal_form is not None:
         return _exact_oracle(img, matrix, channels, spec.factor)
     return _float_composition(img, matrix, channels, spec, strategy)
 
@@ -327,9 +342,9 @@ THIRD = ColorMatrix("third", [[1 / 3, 1 / 3, 1 / 3], [0.5, -1 / 3, -1 / 6], [1 /
 @pytest.mark.parametrize("strategy", [Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST])
 @pytest.mark.parametrize("factor", [1, 2, 3])
 def test_preprocess_equals_literal_float_composition(strategy, factor):
-    # the pipeline reads the uint8 channels directly; a decimal matrix at
-    # M >= 2 must give the exact oracle's bits, anything else the bits of
-    # the float64 composition spelled out stage by stage
+    # the pipeline reads the uint8 channels directly; a decimal matrix
+    # must give the exact oracle's bits, anything else the bits of the
+    # float64 composition spelled out stage by stage
     img = synth_image(29, 37, factor)
     spec = DownsampleSpec(factor)
     for matrix in (builtin_matrix("yiq"), THIRD):
@@ -358,8 +373,8 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
 @pytest.mark.parametrize("name", ["identity", "yiq", "lmn", "third"])
 def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, name):
     # both orderings run in row bands; across band edges each must still
-    # give the bits of its whole-plane oracle (exact for a decimal matrix
-    # at M >= 2, the float composition otherwise) and the predicted counts
+    # give the bits of its whole-plane oracle (exact for a decimal matrix,
+    # the float composition otherwise) and the predicted counts
     img = synth_image(height, width, factor)
     matrix = THIRD if name == "third" else builtin_matrix(name)
     spec = DownsampleSpec(factor)
@@ -381,11 +396,11 @@ def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, wid
     img = synth_image(height, width, 1)
     converted = []
 
-    def recording_transform(*args, **kwargs):
+    def recording_combine_rows(*args, **kwargs):
         converted.append(args[0].shape)
-        return transform(*args, **kwargs)
+        return _combine_rows(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "transform", recording_transform)
+    monkeypatch.setattr(pipeline, "_combine_rows", recording_combine_rows)
     for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
         with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
             preprocess(img, builtin_matrix("yiq"), LUMA, strategy, spec)
@@ -469,7 +484,7 @@ def test_exact_path_at_accumulator_edges(name, factor, acc_t, fill):
 def test_small_images_equal_the_fraction_oracle():
     rng = np.random.default_rng(16)
     for case in range(40):
-        factor = int(rng.integers(2, 6))
+        factor = int(rng.integers(1, 6))
         height, width = (int(rng.integers(factor, 4 * factor + 3)) for _ in range(2))
         matrix = (builtin_matrix("yiq"), builtin_matrix("lmn"), IDENTITY_MATRIX)[case % 3]
         channels = CHANNEL_SETS[case % len(CHANNEL_SETS)]
@@ -478,9 +493,10 @@ def test_small_images_equal_the_fraction_oracle():
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
             result = preprocess(img, matrix, channels, strategy, DownsampleSpec(factor))
             _assert_planes_equal(result.planes, want, case, strategy)
+            assert result.ops == result.plan.predicted
 
 
-def test_float_path_without_an_exact_form(monkeypatch):
+def test_float_path_without_an_exact_form():
     big = ColorMatrix("big", [[1e308, -1e308, 1e308], [1, 0, 0], [0, 1, 0]])
     cases = [
         (builtin_matrix("yiq"), np.int32),
@@ -489,22 +505,10 @@ def test_float_path_without_an_exact_form(monkeypatch):
         (THIRD, np.float64),  # no decimal form
         (big, np.float64),  # decimal at d = 0, but its block sums pass 2^53
     ]
-    for matrix, dtype in cases:
-        plan = plan_pipeline(16, 12, matrix, ALL, DownsampleSpec(2))
-        assert pipeline._arithmetic(plan)[1] is dtype, matrix.name
-    # at M = 1 both orderings only convert, with transform, for any matrix
-    calls = []
-
-    def recording_transform(*args, **kwargs):
-        calls.append(args[0].shape)
-        return transform(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "transform", recording_transform)
-    img = synth_image(16, 12, 3)
-    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
-        calls.clear()
-        preprocess(img, builtin_matrix("yiq"), ALL, strategy, DownsampleSpec(1))
-        assert calls == [(16, 12)]
+    for factor in (1, 2):
+        for matrix, dtype in cases:
+            plan = plan_pipeline(16, 12, matrix, ALL, DownsampleSpec(factor))
+            assert pipeline._arithmetic(plan)[1] is dtype, (matrix.name, factor)
 
 
 def test_impossible_tolerance_fails_on_the_float_path():
