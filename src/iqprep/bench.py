@@ -19,11 +19,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from iqprep.colorspace import ChannelSet, ColorMatrix, builtin_matrix
-from iqprep.counters import OpCounter
 from iqprep.downsample import DownsampleSpec, compute_factor
 from iqprep.image import synth_image
 from iqprep.metrics import require_gradient_size, score
-from iqprep.pipeline import StageOps, Strategy, preprocess
+from iqprep.pipeline import OpCounter, StageOps, Strategy, preprocess
 
 __all__ = [
     "PipelineConfig",
@@ -89,9 +88,8 @@ class BenchRecord:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Ordered records plus the rendered machine and human outputs."""
+    """The rendered machine (CSV) and human (Markdown) outputs of a run."""
 
-    records: tuple[BenchRecord, ...]
     csv: str
     markdown: str
 
@@ -258,8 +256,4 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
             lines.append(f"{index}. {size}: {', '.join(cf_order)} ⇒ {', '.join(df_order)}")
     lines.append("")
 
-    return BenchReport(
-        records=tuple(records),
-        csv=csv_text,
-        markdown="\n".join(lines),
-    )
+    return BenchReport(csv=csv_text, markdown="\n".join(lines))

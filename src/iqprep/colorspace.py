@@ -24,13 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-from iqprep.counters import OpCounter
-
 __all__ = [
     "ColorMatrix",
     "ChannelSet",
     "transform",
-    "count_transform_ops",
     "builtin_matrices",
     "builtin_matrix",
 ]
@@ -126,13 +123,13 @@ def transform(
     blue: np.ndarray,
     matrix: ColorMatrix,
     channels: ChannelSet = ChannelSet.all_channels(),
-    counter: OpCounter | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Apply the matrix rows pixelwise to the (R, G, B) planes.
 
     Only the requested rows are evaluated; unrequested slots in the result
     are ``None``. Each computed channel costs 3 multiplies and 2 adds per
-    pixel, recorded on ``counter`` when given.
+    pixel; the pipeline counts them (``iqprep.pipeline.predict_ops``), this
+    function does not.
 
     Parameters
     ----------
@@ -143,8 +140,6 @@ def transform(
       Conversion coefficients.
     channels : ChannelSet
       Which of the three output rows to compute.
-    counter : OpCounter, optional
-      Receives the multiply/add tally of this call.
 
     Returns
     -------
@@ -156,13 +151,12 @@ def transform(
         raise ValueError(
             f"channel planes must share dimensions, got {r.shape}, {g.shape}, {b.shape}"
         )
-    return _combine_rows(r, g, b, matrix.coefficients, channels, np.float64, counter)
+    return _combine_rows(r, g, b, matrix.coefficients, channels, np.float64)
 
 
-def _combine_rows(r, g, b, rows, channels, dtype, counter=None):
+def _combine_rows(r, g, b, rows, channels, dtype):
     """``(c1*R + c2*G) + c3*B`` in ``dtype`` for each requested row ``(c1, c2, c3)`` of ``rows``."""
     result: list[np.ndarray | None] = [None, None, None]
-    n = r.size
     term = np.empty(r.shape, dtype=dtype)  # reused for the c2*G and c3*B products
     for row, wanted in enumerate(channels.flags):
         if not wanted:
@@ -171,16 +165,8 @@ def _combine_rows(r, g, b, rows, channels, dtype, counter=None):
         plane = np.multiply(r, c[0], dtype=dtype)
         plane += np.multiply(g, c[1], out=term, dtype=dtype)
         plane += np.multiply(b, c[2], out=term, dtype=dtype)
-        if counter is not None:
-            counter.record(multiplies=3 * n, adds=2 * n)
         result[row] = plane
     return (result[0], result[1], result[2])
-
-
-def count_transform_ops(height: int, width: int, channels: ChannelSet) -> OpCounter:
-    """Closed-form operation count of :func:`transform` on an h x w plane set."""
-    n = height * width * channels.count
-    return OpCounter(multiplies=3 * n, adds=2 * n)
 
 
 # The built-in spaces, rows (luma, chroma1, chroma2), cross-checked

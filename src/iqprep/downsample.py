@@ -8,7 +8,10 @@ Two implementations of the same reduction are kept on purpose:
 * :func:`separate_filter_then_decimate` is the literal two-stage form:
   filter the full grid with uniform 1/M^2 weights, then sample the
   filtered image at stride M from the origin. It exists as an
-  independent oracle for the fused path and is not instrumented.
+  independent oracle for the fused path.
+
+Neither counts operations; the package's op model lives in
+``iqprep.pipeline.predict_ops``.
 
 Both sum each block in one fixed order, whatever the input dtype: the M
 rows of each column first, then the M column sums, and scale once by
@@ -31,14 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iqprep.counters import OpCounter
-
 __all__ = [
     "DownsampleSpec",
     "compute_factor",
     "block_mean_decimate",
     "separate_filter_then_decimate",
-    "count_decimate_ops",
 ]
 
 
@@ -81,20 +81,16 @@ def _as_plane(plane: np.ndarray, dtype: type | None = np.float64) -> np.ndarray:
     return p
 
 
-def block_mean_decimate(
-    plane: np.ndarray,
-    spec: DownsampleSpec,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
+def block_mean_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:
     """Average each M x M block and keep one sample per block.
 
     Output dimensions are ``(h // M, w // M)``; output sample (i, j) is the
     arithmetic mean of the input block with top-left corner (i*M, j*M).
     The M^2 block samples are summed and scaled once by 1/M^2, which costs
-    M^2 - 1 adds and 1 multiply per output sample; ``counter``, when
-    given, is incremented by exactly that. uint8 and float planes alike
-    are summed rows of each block first, then columns; uint8 sums are
-    exact, so they equal the float64 result on the same values.
+    M^2 - 1 adds and 1 multiply per output sample (counted by the
+    pipeline, not here). uint8 and float planes alike are summed rows of
+    each block first, then columns; uint8 sums are exact, so they equal
+    the float64 result on the same values.
 
     Parameters
     ----------
@@ -102,9 +98,7 @@ def block_mean_decimate(
       2-D input plane, uint8 or anything that converts to float64.
     spec : DownsampleSpec
       Reduction factor M. With M = 1 the input is returned unchanged
-      (uint8 input as a float64 copy) and nothing is counted.
-    counter : OpCounter, optional
-      Receives the multiply/add tally of this call.
+      (uint8 input as a float64 copy).
 
     Returns
     -------
@@ -126,10 +120,7 @@ def block_mean_decimate(
         raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
     # The explicit dtype keeps value-based casting (numpy < 2) from
     # narrowing an integer sum below float64.
-    out = np.multiply(_block_sum(p, m), 1.0 / (m * m), dtype=np.float64)
-    if counter is not None:
-        counter.record(multiplies=out.size, adds=(m * m - 1) * out.size)
-    return out
+    return np.multiply(_block_sum(p, m), 1.0 / (m * m), dtype=np.float64)
 
 
 def _block_sum(plane: np.ndarray, m: int) -> np.ndarray:
@@ -180,12 +171,3 @@ def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np
         filtered += rows[:, l : l + grid_w]
     filtered *= 1.0 / (m * m)
     return np.ascontiguousarray(filtered[::m, ::m])
-
-
-def count_decimate_ops(height: int, width: int, spec: DownsampleSpec) -> OpCounter:
-    """Closed-form operation count of :func:`block_mean_decimate` on one plane."""
-    m = spec.factor
-    if m == 1:
-        return OpCounter()
-    n_out = (height // m) * (width // m)
-    return OpCounter(multiplies=n_out, adds=(m * m - 1) * n_out)

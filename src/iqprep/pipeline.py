@@ -29,11 +29,12 @@ is block-summed from the uint8 channels and then converted. No full-size
 intermediate is built on either path, and each output sample sees the
 same operations in the same order as in whole-plane calls.
 
-Every run carries exact multiply/add counters for both stages alongside
-the closed-form predictions, so the cost claims are checkable without a
-stopwatch. :func:`plan_pipeline` is the only place that defaults the
-factor M and resolves ``Strategy.AUTO``; every entry point then runs its
-plan through one executor.
+This module holds the package's one op model: :func:`_execute` counts
+each run's multiplies and adds band by band, and :func:`predict_ops`
+gives the same counts in closed form, so the cost claims are checkable
+without a stopwatch. :func:`plan_pipeline` is the only place that
+defaults the factor M and resolves ``Strategy.AUTO``; every entry point
+then runs its plan through one executor.
 """
 
 from __future__ import annotations
@@ -45,21 +46,15 @@ from enum import Enum
 
 import numpy as np
 
-from iqprep.colorspace import ChannelSet, ColorMatrix, _combine_rows, count_transform_ops, transform
-from iqprep.counters import OpCounter
+from iqprep.colorspace import ChannelSet, ColorMatrix, _combine_rows, transform
 # perfbench's traced run wraps transform and block_mean_decimate on this
 # module, so both stay attributes of it although _execute calls neither.
-from iqprep.downsample import (
-    DownsampleSpec,
-    _block_sum,
-    block_mean_decimate,
-    compute_factor,
-    count_decimate_ops,
-)
+from iqprep.downsample import DownsampleSpec, _block_sum, block_mean_decimate, compute_factor
 from iqprep.image import RgbImage8
 
 __all__ = [
     "Strategy",
+    "OpCounter",
     "StageOps",
     "PipelinePlan",
     "PreprocessedChannels",
@@ -82,6 +77,28 @@ class Strategy(Enum):
     CONVERT_FIRST = "convert-first"
     DOWNSAMPLE_FIRST = "downsample-first"
     AUTO = "auto"
+
+
+@dataclass
+class OpCounter:
+    """Tally of scalar multiplies and adds of one pipeline stage.
+
+    :func:`_execute` records each stage once per band, from the sizes of
+    the arrays the band converts, sums and scales, so counts are exact
+    and hardware independent. They compose additively across stages.
+    """
+
+    multiplies: int = 0
+    adds: int = 0
+
+    def record(self, multiplies: int = 0, adds: int = 0) -> None:
+        if multiplies < 0 or adds < 0:
+            raise ValueError("operation counts must be non-negative")
+        self.multiplies += multiplies
+        self.adds += adds
+
+    def __add__(self, other: "OpCounter") -> "OpCounter":
+        return OpCounter(self.multiplies + other.multiplies, self.adds + other.adds)
 
 
 @dataclass(frozen=True)
@@ -159,19 +176,26 @@ def select_strategy(channels: ChannelSet, spec: DownsampleSpec) -> Strategy:
 def predict_ops(
     height: int, width: int, channels: ChannelSet, spec: DownsampleSpec, strategy: Strategy
 ) -> StageOps:
-    """Closed-form stage costs of one execution on an ``height x width`` image."""
+    """Closed-form stage costs of one execution on an ``height x width`` image.
+
+    This is the op model of the package. Conversion costs 3 multiplies and
+    2 adds per converted sample and requested channel: every input sample
+    for convert-first, every output sample for downsample-first. A block
+    sum costs M^2 - 1 adds per output sample of each summed plane: the k
+    converted planes for convert-first, the three RGB planes for
+    downsample-first. Scaling costs 1 multiply per output sample of each
+    requested channel. At M = 1 nothing is filtered.
+    """
     if strategy is Strategy.AUTO:
         raise ValueError("predict_ops needs a concrete strategy, not AUTO")
-    # Convert-first converts the full grid and block-sums the k converted
-    # planes; downsample-first block-sums the three RGB planes and converts
-    # the reduced grid. Either way the block sums are scaled once per
-    # output sample of each of the k requested channels.
+    m, k = spec.factor, channels.count
+    n_out = (height // m) * (width // m)
     df = strategy is Strategy.DOWNSAMPLE_FIRST
-    m, planes = (spec.factor, 3) if df else (1, channels.count)
-    per_plane = count_decimate_ops(height, width, spec)
+    converted, summed = (n_out, 3) if df else (height * width, k)
+    filtered = n_out if m > 1 else 0
     return StageOps(
-        conversion=count_transform_ops(height // m, width // m, channels),
-        filtering=OpCounter(per_plane.multiplies * channels.count, per_plane.adds * planes),
+        conversion=OpCounter(multiplies=3 * k * converted, adds=2 * k * converted),
+        filtering=OpCounter(multiplies=k * filtered, adds=(m * m - 1) * summed * filtered),
     )
 
 
@@ -251,7 +275,8 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     requested plane of sums is then scaled once into its output rows. For
     a decimal matrix all of this runs on integers (see :func:`_arithmetic`),
     so both orderings build the same integers and round them once: their
-    outputs are identical. No full-size intermediate is ever built.
+    outputs are identical. No full-size intermediate is ever built. Each
+    band records its conversion and filtering counts as it runs them.
     """
     conversion = OpCounter()
     filtering = OpCounter()
@@ -272,7 +297,9 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         return sums
 
     def convert(*planes: np.ndarray) -> tuple:
-        return _combine_rows(*planes, coefficients, plan.channels, dtype, conversion)
+        n = planes[0].size * plan.channels.count
+        conversion.record(multiplies=3 * n, adds=2 * n)
+        return _combine_rows(*planes, coefficients, plan.channels, dtype)
 
     for a in range(0, whole, step):
         b = a + step if a + step < whole else h

@@ -10,8 +10,7 @@ from iqprep.bench import (
     emit_report,
     run_bench,
 )
-from iqprep.counters import OpCounter
-from iqprep.pipeline import Strategy
+from iqprep.pipeline import OpCounter, Strategy
 
 DATA_DIR = Path(__file__).parent / "data"
 

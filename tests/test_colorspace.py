@@ -17,10 +17,8 @@ from iqprep.colorspace import (
     ColorMatrix,
     builtin_matrices,
     builtin_matrix,
-    count_transform_ops,
     transform,
 )
-from iqprep.counters import OpCounter
 from iqprep.image import synth_image
 
 
@@ -78,31 +76,6 @@ def test_yiq_luma_row_is_affine_normalized():
     assert abs(float(yiq.coefficients[0].sum()) - 1.0) <= 1e-3
 
 
-def test_count_transform_ops_examples():
-    all_three = count_transform_ops(2, 2, ChannelSet.all_channels())
-    assert (all_three.multiplies, all_three.adds) == (36, 24)
-    luma = count_transform_ops(2, 2, ChannelSet.luma_only())
-    assert (luma.multiplies, luma.adds) == (12, 8)
-
-
-@pytest.mark.parametrize(
-    "channels",
-    [
-        ChannelSet.all_channels(),
-        ChannelSet.luma_only(),
-        ChannelSet(luma=False, chroma1=True, chroma2=True),
-        ChannelSet(luma=True, chroma1=False, chroma2=True),
-    ],
-)
-def test_predicted_counts_match_instrumented_run(channels):
-    rng = np.random.default_rng(9)
-    r, g, b = _planes(rng, 6, 11)
-    counter = OpCounter()
-    transform(r, g, b, builtin_matrix("lmn"), channels, counter=counter)
-    predicted = count_transform_ops(6, 11, channels)
-    assert (counter.multiplies, counter.adds) == (predicted.multiplies, predicted.adds)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32), alpha=st.floats(-2, 2), beta=st.floats(-2, 2))
 def test_transform_linearity(seed, alpha, beta):
@@ -134,10 +107,8 @@ def test_pointwise_locality():
 def test_unrequested_channels_not_computed():
     rng = np.random.default_rng(5)
     r, g, b = _planes(rng, 3, 3)
-    counter = OpCounter()
-    luma, c1, c2 = transform(r, g, b, builtin_matrix("yiq"), ChannelSet.luma_only(), counter)
+    luma, c1, c2 = transform(r, g, b, builtin_matrix("yiq"), ChannelSet.luma_only())
     assert luma is not None and c1 is None and c2 is None
-    assert counter.multiplies == 3 * 9  # scales with k = 1, not 3
 
 
 @pytest.mark.parametrize("matrix", [IDENTITY_MATRIX, *builtin_matrices()], ids=lambda m: m.name)
@@ -147,15 +118,13 @@ def test_uint8_input_matches_float_planes(matrix):
         if not any(flags):
             continue
         channels = ChannelSet(*flags)
-        int_counter, float_counter = OpCounter(), OpCounter()
-        from_uint8 = transform(*img.channels, matrix, channels, int_counter)
-        from_float = transform(*_float_planes(img), matrix, channels, float_counter)
+        from_uint8 = transform(*img.channels, matrix, channels)
+        from_float = transform(*_float_planes(img), matrix, channels)
         for a, b in zip(from_uint8, from_float):
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.dtype == np.float64
                 assert np.array_equal(a, b), (matrix.name, flags)
-        assert int_counter == float_counter
 
 
 def test_dimension_mismatch_raises():

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqprep.counters import OpCounter
 from iqprep.downsample import (
     DownsampleSpec,
     block_mean_decimate,
     compute_factor,
-    count_decimate_ops,
     separate_filter_then_decimate,
 )
+from iqprep.pipeline import OpCounter
 
 
 def brute_force_block_means(plane, factor):
@@ -55,10 +54,8 @@ def test_2x2_block_mean():
 
 def test_factor_one_is_passthrough_with_zero_ops():
     plane = np.arange(12, dtype=float).reshape(3, 4)
-    counter = OpCounter()
-    out = block_mean_decimate(plane, DownsampleSpec(1), counter)
+    out = block_mean_decimate(plane, DownsampleSpec(1))
     assert np.array_equal(out, plane)
-    assert (counter.multiplies, counter.adds) == (0, 0)
 
 
 def test_5x5_truncates_partial_blocks():
@@ -85,18 +82,6 @@ def test_fused_matches_literal_path_exactly_seed42():
 def test_literal_path_factor_one_identity():
     plane = np.arange(6, dtype=float).reshape(2, 3)
     assert np.array_equal(separate_filter_then_decimate(plane, DownsampleSpec(1)), plane)
-
-
-def test_counter_per_output_sample():
-    plane = np.zeros((7, 9))
-    counter = OpCounter()
-    out = block_mean_decimate(plane, DownsampleSpec(3), counter)
-    n_out = out.size
-    assert out.shape == (2, 3)
-    assert counter.multiplies == n_out
-    assert counter.adds == (9 - 1) * n_out
-    predicted = count_decimate_ops(7, 9, DownsampleSpec(3))
-    assert (predicted.multiplies, predicted.adds) == (counter.multiplies, counter.adds)
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)])
@@ -235,19 +220,17 @@ def test_downsampling_is_linear(seed, alpha, beta, factor):
 )
 def test_uint8_kernel_equals_float_path(seed, height, width, factor):
     # the integer block sums are exact, so the uint8 path must reproduce
-    # the float path's bits and its operation count, not just approximate it
+    # the float path's bits, not just approximate them
     plane = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
     spec = DownsampleSpec(factor)
     if height < factor or width < factor:
         with pytest.raises(ValueError, match="smaller"):
             block_mean_decimate(plane, spec)
         return
-    int_counter, float_counter = OpCounter(), OpCounter()
-    from_uint8 = block_mean_decimate(plane, spec, int_counter)
-    from_float = block_mean_decimate(plane.astype(np.float64), spec, float_counter)
+    from_uint8 = block_mean_decimate(plane, spec)
+    from_float = block_mean_decimate(plane.astype(np.float64), spec)
     assert from_uint8.dtype == np.float64
     assert np.array_equal(from_uint8, from_float)
-    assert int_counter == float_counter
 
 
 @pytest.mark.parametrize("factor", [16, 17, 64])

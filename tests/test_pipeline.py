@@ -18,6 +18,7 @@ from iqprep.colorspace import (
 from iqprep.downsample import DownsampleSpec, block_mean_decimate, compute_factor
 from iqprep.image import RgbImage8, synth_image
 from iqprep.pipeline import (
+    OpCounter,
     PipelinePlan,
     Strategy,
     channel_differences,
@@ -66,6 +67,61 @@ def test_counter_examples_2x2_image():
     df = run_downsample_first(img, builtin_matrix("yiq"), ALL, DownsampleSpec(2))
     assert df.ops.conversion.multiplies == 9  # exactly M^2 = 4x fewer
     assert cf.ops.conversion.multiplies == df.ops.conversion.multiplies * 4
+
+
+def test_conversion_counts_on_a_2x2_image():
+    # 3 multiplies and 2 adds per converted sample and requested channel;
+    # at M = 1 both orderings convert all 4 samples and filter nothing
+    img = synth_image(2, 2, 1)
+    spec = DownsampleSpec(1)
+    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+        for channels, expected in ((ALL, OpCounter(36, 24)), (LUMA, OpCounter(12, 8))):
+            result = preprocess(img, builtin_matrix("lmn"), channels, strategy, spec)
+            for ops in (result.ops, predict_ops(2, 2, channels, spec, strategy)):
+                assert ops.conversion == expected
+                assert ops.filtering == OpCounter(0, 0)
+
+
+def test_filtering_counts_per_output_sample():
+    # 7x9 at M = 3 keeps 2x3 = 6 output samples, each costing M^2 - 1 = 8
+    # adds per summed plane and 1 multiply per requested channel
+    img = synth_image(7, 9, 4)
+    spec = DownsampleSpec(3)
+    for strategy, summed in ((Strategy.CONVERT_FIRST, 1), (Strategy.DOWNSAMPLE_FIRST, 3)):
+        result = preprocess(img, builtin_matrix("yiq"), LUMA, strategy, spec)
+        assert result.luma.shape == (2, 3)
+        for ops in (result.ops, predict_ops(7, 9, LUMA, spec, strategy)):
+            assert ops.filtering == OpCounter(multiplies=6, adds=8 * 6 * summed)
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_op_model_totals_and_filtering_crossover(k, factor):
+    # README "Strategy selection": with h, w multiples of M and n = h*w,
+    # convert-first totals 6kn ops and downsample-first n(6k + 3(M^2-1))/M^2,
+    # so CF/DF = 2kM^2 / (M^2 + 2k - 1) > 1. Filtering alone is kn against
+    # n(k + 3(M^2-1))/M^2: equal at k = 3, convert-first cheaper below.
+    channels = ChannelSet(*(i < k for i in range(3)))
+    spec = DownsampleSpec(factor)
+    height, width = 5 * factor, 7 * factor
+    n, m2 = height * width, factor * factor
+    cf, df = (
+        predict_ops(height, width, channels, spec, s)
+        for s in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+    )
+
+    def total(ops):
+        return sum(c.multiplies + c.adds for c in (ops.conversion, ops.filtering))
+
+    assert total(cf) == 6 * k * n
+    assert Fraction(total(df)) == Fraction(n * (6 * k + 3 * (m2 - 1)), m2)
+    ratio = Fraction(total(cf), total(df))
+    assert ratio == Fraction(2 * k * m2, m2 + 2 * k - 1) and ratio > 1
+    cf_filter = cf.filtering.multiplies + cf.filtering.adds
+    df_filter = df.filtering.multiplies + df.filtering.adds
+    assert cf_filter == k * n
+    assert Fraction(df_filter) == Fraction(n * (k + 3 * (m2 - 1)), m2)
+    assert (cf_filter < df_filter) if k < 3 else (cf_filter == df_filter)
 
 
 @pytest.mark.parametrize(
