@@ -110,15 +110,15 @@ def test_op_model_totals_and_filtering_crossover(k, factor):
         for s in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
     )
 
-    def total(ops):
-        return sum(c.multiplies + c.adds for c in (ops.conversion, ops.filtering))
+    def count(counter):
+        return counter.multiplies + counter.adds
 
-    assert total(cf) == 6 * k * n
-    assert Fraction(total(df)) == Fraction(n * (6 * k + 3 * (m2 - 1)), m2)
-    ratio = Fraction(total(cf), total(df))
+    cf_filter, df_filter = count(cf.filtering), count(df.filtering)
+    cf_total, df_total = cf_filter + count(cf.conversion), df_filter + count(df.conversion)
+    assert cf_total == 6 * k * n
+    assert Fraction(df_total) == Fraction(n * (6 * k + 3 * (m2 - 1)), m2)
+    ratio = Fraction(cf_total, df_total)
     assert ratio == Fraction(2 * k * m2, m2 + 2 * k - 1) and ratio > 1
-    cf_filter = cf.filtering.multiplies + cf.filtering.adds
-    df_filter = df.filtering.multiplies + df.filtering.adds
     assert cf_filter == k * n
     assert Fraction(df_filter) == Fraction(n * (k + 3 * (m2 - 1)), m2)
     assert (cf_filter < df_filter) if k < 3 else (cf_filter == df_filter)
