@@ -123,23 +123,27 @@ def block_mean_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:
     return np.multiply(_block_sum(p, m), 1.0 / (m * m), dtype=np.float64)
 
 
-def _block_sum(plane: np.ndarray, m: int) -> np.ndarray:
+def _block_sum(
+    plane: np.ndarray, m: int, dtype: type | None = None, row_dtype: type | None = None
+) -> np.ndarray:
     """Sums of the whole M x M blocks of a 2-D plane at least M x M, for M >= 2.
 
     Trailing rows and columns that fill no block are dropped. The M rows
     of each block are added first, over contiguous full-width rows
-    (M(M-1) adds per output sample), then the M columns of the M-times
-    narrower row sums (M-1 adds). uint8 planes accumulate in the smallest
-    unsigned type that holds M^2 * 255, so every partial sum is exact;
-    other planes accumulate in their own dtype.
+    (M(M-1) adds per output sample), accumulating in ``row_dtype``; then
+    the M columns of the M-times narrower row sums (M-1 adds), in
+    ``dtype``. ``row_dtype`` defaults to ``dtype``, and ``dtype`` to the
+    smallest unsigned type that holds M^2 * 255 for uint8 planes, so
+    every partial sum is exact, and to the plane's own dtype for others.
     """
     h, w = plane.shape
     trimmed = plane[: h - h % m, : w - w % m]
-    acc_t = np.min_scalar_type(m * m * 255) if plane.dtype == np.uint8 else plane.dtype
-    cols = np.add(trimmed[0::m], trimmed[1::m], dtype=acc_t)
+    if dtype is None:
+        dtype = np.min_scalar_type(m * m * 255) if plane.dtype == np.uint8 else plane.dtype
+    cols = np.add(trimmed[0::m], trimmed[1::m], dtype=row_dtype or dtype)
     for k in range(2, m):
         cols += trimmed[k::m]
-    acc = np.add(cols[:, 0::m], cols[:, 1::m])
+    acc = np.add(cols[:, 0::m], cols[:, 1::m], dtype=dtype)
     for l in range(2, m):
         acc += cols[:, l::m]
     return acc

@@ -19,7 +19,10 @@ channel count.
 For a matrix of decimals (both built-ins, and the identity) both
 orderings sum integers and divide once, so they commute exactly: their
 outputs are bit-identical and each sample is its exact value rounded
-once. Other matrices run in float64, where the orderings agree up to
+once. The integers are held in float32 while they stay below 2^24 and
+in float64 above, and each band is converted by one matrix product of
+the numerators and its three planes. Other matrices run in float64,
+in ``transform``'s fixed order, where the orderings agree up to
 floating-point reassociation.
 
 Both orderings run in row bands of whole M x M blocks. A convert-first
@@ -240,25 +243,30 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
 
 
 def _arithmetic(plan: PipelinePlan) -> tuple:
-    """How :func:`_execute` converts and scales: ``(rows, dtype, scale, by)``.
+    """How :func:`_execute` converts and scales: ``(rows, (pixel_t, row_t, sum_t), scale, by)``.
 
     A decimal matrix (see ``ColorMatrix.decimal_form``) takes the exact
-    path: its integer numerators, an integer dtype, and ``np.divide`` by
-    10^d * M^2. That needs block sums below 2^53 in magnitude (at most
-    255 * max row |numerators|_1 * M^2), so that they and the divisor are
-    exact in float64 and the one division is the only rounding; sums
-    below 2^31 fit int32, larger ones int64. Any other matrix takes the
-    float path: its coefficients in float64 and ``np.multiply`` by 1/M^2.
+    path: its integer numerators, integers held in floats, and
+    ``np.divide`` by 10^d * M^2. A converted pixel is at most
+    P = 255 * max row |numerators|_1 in magnitude, the sum of a block's
+    M pixels in one row at most P * M, and a block sum at most P * M^2.
+    Each is held in float32 (``pixel_t``, ``row_t``, ``sum_t``) while its
+    bound is below 2^24 and in float64 otherwise, so every integer and
+    partial sum is exact. The block sums and the divisor must stay below
+    2^53, so that both are exact in float64 and the one division, in
+    float64, is the only rounding. Any other matrix takes the float path:
+    its coefficients, float64 throughout and ``np.multiply`` by 1/M^2.
     """
     m = plan.spec.factor
     if plan.matrix.decimal_form is not None:
         numerators, d = plan.matrix.decimal_form
-        bound = 255 * m * m * max(sum(map(abs, row)) for row in numerators)
+        pixel = 255 * max(sum(map(abs, row)) for row in numerators)
         divisor = 10**d * m * m
-        if max(bound, divisor) < 1 << 53:
-            dtype = np.int32 if bound < 1 << 31 else np.int64
-            return numerators, dtype, np.divide, float(divisor)
-    return plan.matrix.coefficients, np.float64, np.multiply, 1.0 / (m * m)
+        if max(pixel * m * m, divisor) < 1 << 53:
+            bounds = (pixel, pixel * m, pixel * m * m)
+            dtypes = tuple(np.float32 if n < 1 << 24 else np.float64 for n in bounds)
+            return numerators, dtypes, np.divide, float(divisor)
+    return plan.matrix.coefficients, (np.float64,) * 3, np.multiply, 1.0 / (m * m)
 
 
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
@@ -272,11 +280,15 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     Convert-first converts the band and block-sums the k converted
     planes; downsample-first block-sums the three uint8 RGB planes and
     converts the sums; at M = 1 a block sum is the sample itself. Each
-    requested plane of sums is then scaled once into its output rows. For
-    a decimal matrix all of this runs on integers (see :func:`_arithmetic`),
-    so both orderings build the same integers and round them once: their
-    outputs are identical. No full-size intermediate is ever built. Each
-    band records its conversion and filtering counts as it runs them.
+    requested plane of sums is then scaled once, in float64, into its
+    output rows. For a decimal matrix all of this runs on integers held
+    in floats (see :func:`_arithmetic`): the band's three planes are cast
+    once into one staging array and the k requested numerator rows
+    multiply it in one matrix product, so both orderings build the same
+    integers and round them once, and their outputs are identical. Other
+    matrices convert in ``transform``'s fixed order. No full-size
+    intermediate is ever built. Each band records its conversion and
+    filtering counts as it runs them.
     """
     conversion = OpCounter()
     filtering = OpCounter()
@@ -286,38 +298,61 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
     whole = h - h % m  # rows of whole blocks
     step = _band_rows(plan, w)
-    coefficients, dtype, scale, by = _arithmetic(plan)
+    convert_first = plan.strategy is Strategy.CONVERT_FIRST
+    rows, (pixel_t, row_t, sum_t), scale, by = _arithmetic(plan)
+    exact = scale is np.divide
     outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
+    requested = [out for out in outputs if out is not None]
+    if exact:
+        # the k requested rows, in the dtype of the planes they convert
+        wanted = [row for row, f in zip(rows, plan.channels.flags) if f]
+        weights = np.array(wanted, pixel_t if convert_first else sum_t)
+        # Every band is staged and converted in the same two buffers, sized
+        # for the largest band: the last one, which also takes the h % M
+        # trailing rows, or the whole image when it is one band. Fresh
+        # buffers per band made glibc's default malloc trim and re-fault
+        # its heap (README, "Benchmark protocol").
+        rows_max = max(min(step, whole), h - (whole - 1) // step * step)
+        n_max = rows_max * w if convert_first else rows_max // m * (w // m)
+        staging = np.empty(3 * n_max, weights.dtype)
+        product = np.empty(len(weights) * n_max, weights.dtype)
 
-    def block_sum(plane: np.ndarray) -> np.ndarray:
+    def block_sum(plane: np.ndarray, *dtypes: type) -> np.ndarray:
         if m == 1:
             return plane
-        sums = _block_sum(plane, m)
+        sums = _block_sum(plane, m, *dtypes)
         filtering.record(adds=(m * m - 1) * sums.size)
         return sums
 
-    def convert(*planes: np.ndarray) -> tuple:
-        n = planes[0].size * plan.channels.count
+    def convert(planes: list) -> Iterable[np.ndarray]:
+        """The requested channels of three equal-shaped planes, in channel order."""
+        size = planes[0].size
+        n = size * plan.channels.count
         conversion.record(multiplies=3 * n, adds=2 * n)
-        return _combine_rows(*planes, coefficients, plan.channels, dtype)
+        if not exact:  # the float path keeps transform's order
+            return [p for p in _combine_rows(*planes, rows, plan.channels) if p is not None]
+        # every product and partial sum is an integer exact in the weights'
+        # dtype, so neither the order of the sums nor an FMA in BLAS changes a bit
+        staged = np.concatenate(planes, axis=None, out=staging[: 3 * size]).reshape(3, size)
+        converted = product[: len(weights) * size].reshape(-1, size)
+        return np.matmul(weights, staged, out=converted).reshape(-1, *planes[0].shape)
 
     for a in range(0, whole, step):
         b = a + step if a + step < whole else h
-        rgb = (c[a:b] for c in image.channels)
-        rows = tuple(None if out is None else out[a // m : b // m] for out in outputs)
-        if plan.strategy is Strategy.CONVERT_FIRST:
-            # The band stays alive until the next one replaces it. Freeing
-            # it first made glibc's default malloc trim and re-fault its
-            # heap on every band (README, "Benchmark protocol").
-            band = convert(*rgb)
-            sums = [None if p is None else block_sum(p) for p in band]
-        else:  # one cast per RGB plane, not one per product
-            sums = convert(*(block_sum(c).astype(dtype) for c in rgb))
-        for out, total in zip(rows, sums):
-            if out is not None:
-                scale(total, by, out=out)
-                # at M = 1 there is no mean to take; predict_ops counts none
-                filtering.record(multiplies=out.size if m > 1 else 0)
+        rgb = [c[a:b] for c in image.channels]
+        if convert_first:
+            # On the float path the band stays alive until the next one
+            # replaces it. Freeing it first made glibc's default malloc trim
+            # and re-fault its heap on every band (README, "Benchmark protocol").
+            band = convert(rgb)
+            sums = [block_sum(p, sum_t, row_t) for p in band]
+        else:
+            sums = convert([block_sum(c) for c in rgb])
+        for out, total in zip(requested, sums):
+            # dtype: a float32 sum divided by a Python float would round in float32
+            scale(total, by, out=out[a // m : b // m], dtype=np.float64)
+            # at M = 1 there is no mean to take; predict_ops counts none
+            filtering.record(multiplies=total.size if m > 1 else 0)
     return PreprocessedChannels(*outputs, plan=plan, ops=StageOps(conversion, filtering))
 
 

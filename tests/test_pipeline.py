@@ -444,23 +444,30 @@ def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, n
 
 @pytest.mark.parametrize("height, width", [(3, 50000), (40000, 3), (2, 2)])
 def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, width):
-    # either ordering rejects such an image before converting anything,
-    # with the error block_mean_decimate gives for the whole plane
+    # either ordering rejects such an image before converting or summing
+    # anything, with the error block_mean_decimate gives for the whole
+    # plane; the exact path converts without _combine_rows, but every
+    # band it converts is block-summed next
     spec = DownsampleSpec(4)
     with pytest.raises(ValueError) as whole_plane:
         block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
     img = synth_image(height, width, 1)
-    converted = []
+    touched = []
 
-    def recording_combine_rows(*args, **kwargs):
-        converted.append(args[0].shape)
-        return _combine_rows(*args, **kwargs)
+    def recording(function):
+        def wrapper(*args, **kwargs):
+            touched.append(args[0].shape)
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_combine_rows", recording_combine_rows)
-    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
-        with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
-            preprocess(img, builtin_matrix("yiq"), LUMA, strategy, spec)
-    assert converted == []
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "_combine_rows", recording(_combine_rows))
+    monkeypatch.setattr(pipeline, "_block_sum", recording(pipeline._block_sum))
+    for matrix in (builtin_matrix("yiq"), THIRD):
+        for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+            with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
+                preprocess(img, matrix, LUMA, strategy, spec)
+    assert touched == []
 
 
 def test_convert_first_never_holds_a_full_resolution_float_plane():
@@ -506,35 +513,55 @@ def _filled(height, width, rgb):
     return RgbImage8(height, width, *(np.full((height, width), v, dtype=np.uint8) for v in rgb))
 
 
-# all positive, so all-255 blocks reach the bound: 255 * 2997 * M^2 fits
-# int32 up to M = 53
+# all positive, so all-255 blocks reach the bounds: 255 * 2997 * M^2 is
+# below 2^24 up to M = 4, a block's row sum 255 * 2997 * M up to M = 21
 POSITIVE = ColorMatrix("positive", np.full((3, 3), 0.999))
+# six decimals: a converted pixel, up to 255 * 2999997, is past 2^24
+FINE = ColorMatrix("fine", np.full((3, 3), 0.999999))
+F32, F64 = np.float32, np.float64
 
 
 @pytest.mark.parametrize(
-    "name, factor, acc_t",
+    "name, factor, dtypes",
     [
-        ("yiq", 16, np.int32),  # RGB block sums still fit uint16
-        ("yiq", 17, np.int32),  # RGB block sums need uint32
-        ("yiq", 84, np.int32),  # 255 * 1192 * 84^2 < 2^31
-        ("yiq", 85, np.int64),
-        ("positive", 53, np.int32),
-        ("positive", 54, np.int64),
+        ("yiq", 7, (F32, F32, F32)),  # 255 * 1192 * 7^2 < 2^24
+        ("yiq", 8, (F32, F32, F64)),
+        ("yiq", 16, (F32, F32, F64)),  # RGB block sums still fit uint16
+        ("yiq", 17, (F32, F32, F64)),  # RGB block sums need uint32
+        ("positive", 4, (F32, F32, F32)),
+        ("positive", 5, (F32, F32, F64)),
+        ("positive", 21, (F32, F32, F64)),
+        ("positive", 22, (F32, F64, F64)),
+        ("fine", 1, (F64, F64, F64)),
+        ("fine", 2, (F64, F64, F64)),
     ],
+    ids=lambda v: "-".join(t.__name__[5:] for t in v) if isinstance(v, tuple) else None,
 )
 @pytest.mark.parametrize("fill", [(255, 255, 255), (0, 255, 255)], ids=["white", "cyan"])
-def test_exact_path_at_accumulator_edges(name, factor, acc_t, fill):
+def test_exact_path_at_accumulator_edges(name, factor, dtypes, fill):
     # (0, 255, 255) gives yiq's most negative chroma1; both orderings must
     # equal the Python-integer oracle where each accumulator widens
-    matrix = POSITIVE if name == "positive" else builtin_matrix(name)
+    matrix = {"positive": POSITIVE, "fine": FINE}.get(name) or builtin_matrix(name)
     spec = DownsampleSpec(factor)
     img = _filled(2 * factor + 1, factor + 2, fill)
     want = _fraction_oracle(img, matrix, ALL, factor)
     for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
         result = preprocess(img, matrix, ALL, strategy, spec)
-        assert pipeline._arithmetic(result.plan)[1] is acc_t
+        assert pipeline._arithmetic(result.plan)[1] == dtypes
         _assert_planes_equal(result.planes, want, strategy)
         assert result.ops == result.plan.predicted
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_exact_scale_divides_in_float64(factor):
+    # a luma sum of 299 * M^2 over 1000 * M^2 rounds once in float64 to
+    # 0.299; dividing the float32 sum in float32 would give float32(0.299)
+    img = _filled(factor, factor, (1, 0, 0))
+    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+        result = preprocess(img, builtin_matrix("yiq"), LUMA, strategy, DownsampleSpec(factor))
+        assert pipeline._arithmetic(result.plan)[1][2] is np.float32
+        assert result.luma.dtype == np.float64
+        assert result.luma[0, 0] == 0.299 != float(np.float32(0.299))
 
 
 def test_small_images_equal_the_fraction_oracle():
@@ -555,16 +582,17 @@ def test_small_images_equal_the_fraction_oracle():
 def test_float_path_without_an_exact_form():
     big = ColorMatrix("big", [[1e308, -1e308, 1e308], [1, 0, 0], [0, 1, 0]])
     cases = [
-        (builtin_matrix("yiq"), np.int32),
-        (builtin_matrix("lmn"), np.int32),
-        (IDENTITY_MATRIX, np.int32),
-        (THIRD, np.float64),  # no decimal form
-        (big, np.float64),  # decimal at d = 0, but its block sums pass 2^53
+        (builtin_matrix("yiq"), np.float32, np.divide),
+        (builtin_matrix("lmn"), np.float32, np.divide),
+        (IDENTITY_MATRIX, np.float32, np.divide),
+        (THIRD, np.float64, np.multiply),  # no decimal form
+        (big, np.float64, np.multiply),  # decimal at d = 0, but its block sums pass 2^53
     ]
     for factor in (1, 2):
-        for matrix, dtype in cases:
+        for matrix, dtype, scale in cases:
             plan = plan_pipeline(16, 12, matrix, ALL, DownsampleSpec(factor))
-            assert pipeline._arithmetic(plan)[1] is dtype, (matrix.name, factor)
+            _, dtypes, got_scale, _ = pipeline._arithmetic(plan)
+            assert (dtypes, got_scale) == ((dtype,) * 3, scale), (matrix.name, factor)
 
 
 def test_impossible_tolerance_fails_on_the_float_path():
