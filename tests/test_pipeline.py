@@ -526,14 +526,22 @@ F32, F64 = np.float32, np.float64
     [
         ("yiq", 7, (F32, F32, F32)),  # 255 * 1192 * 7^2 < 2^24
         ("yiq", 8, (F32, F32, F64)),
-        ("yiq", 16, (F32, F32, F64)),  # RGB block sums still fit uint16
-        ("yiq", 17, (F32, F32, F64)),  # RGB block sums need uint32
         ("positive", 4, (F32, F32, F32)),
         ("positive", 5, (F32, F32, F64)),
         ("positive", 21, (F32, F32, F64)),
         ("positive", 22, (F32, F64, F64)),
         ("fine", 1, (F64, F64, F64)),
         ("fine", 2, (F64, F64, F64)),
+        # the integer edges: RGB block sums at M = 16/17, and where an
+        # int32 block sum, the exact path's earlier accumulator, would
+        # have overflowed (named in the ids); the float sums must stay
+        # exact across them too
+        pytest.param("yiq", 16, (F32, F32, F64), id="yiq-16-int32"),  # RGB sums fit uint16
+        pytest.param("yiq", 17, (F32, F32, F64), id="yiq-17-int32"),  # RGB sums need uint32
+        pytest.param("yiq", 84, (F32, F64, F64), id="yiq-84-int32"),  # 255 * 1192 * 84^2 < 2^31
+        pytest.param("yiq", 85, (F32, F64, F64), id="yiq-85-int64"),
+        pytest.param("positive", 53, (F32, F64, F64), id="positive-53-int32"),
+        pytest.param("positive", 54, (F32, F64, F64), id="positive-54-int64"),
     ],
     ids=lambda v: "-".join(t.__name__[5:] for t in v) if isinstance(v, tuple) else None,
 )
