@@ -11,12 +11,12 @@ Per output channel the evaluation order of :func:`transform` is fixed as
 for bit in the common case. Input planes may be uint8 or float; each
 product is formed in float64 straight from the input, so 8-bit planes
 give the same bits as their float64 casts without a full-resolution
-float copy of them. The pipeline combines rows in the same order, band
-by band, for most matrices. For a matrix of decimals
-(:attr:`ColorMatrix.decimal_form`) it converts exactly instead: one
-matrix product of the integer numerators and the band's planes, on
-integers held in float32 or float64, where the order of the sums cannot
-change a bit.
+float copy of them. The pipeline calls :func:`transform` band by band
+only for a matrix without a decimal form. For a matrix of decimals
+(:attr:`ColorMatrix.decimal_form`: both built-ins and the identity) it
+converts exactly instead: one matrix product of the integer numerators
+and the band's planes, on integers held in float32 or float64, where the
+order of the sums cannot change a bit.
 """
 
 from __future__ import annotations
@@ -153,17 +153,12 @@ def transform(
         raise ValueError(
             f"channel planes must share dimensions, got {r.shape}, {g.shape}, {b.shape}"
         )
-    return _combine_rows(r, g, b, matrix.coefficients, channels)
-
-
-def _combine_rows(r, g, b, rows, channels):
-    """``(c1*R + c2*G) + c3*B`` in float64 for each requested row ``(c1, c2, c3)`` of ``rows``."""
     result: list[np.ndarray | None] = [None, None, None]
     term = np.empty(r.shape)  # reused for the c2*G and c3*B products
     for row, wanted in enumerate(channels.flags):
         if not wanted:
             continue
-        c = rows[row]
+        c = matrix.coefficients[row]
         plane = np.multiply(r, c[0], dtype=np.float64)
         plane += np.multiply(g, c[1], out=term, dtype=np.float64)
         plane += np.multiply(b, c[2], out=term, dtype=np.float64)

@@ -2,9 +2,9 @@
 
 Two implementations of the same reduction are kept on purpose:
 
-* :func:`block_mean_decimate` is the production path. It averages each
-  M x M block directly at the retained output positions, one pass, no
-  full-resolution intermediate.
+* :func:`block_mean_decimate` averages each M x M block directly at the
+  retained output positions, one pass, no full-resolution intermediate.
+  The pipeline calls its block sum, ``_block_sum``, band by band.
 * :func:`separate_filter_then_decimate` is the literal two-stage form:
   filter the full grid with uniform 1/M^2 weights, then sample the
   filtered image at stride M from the origin. It exists as an
@@ -23,7 +23,8 @@ float64 path on the same values bit for bit as well.
 Boundary policy (fixed in v1): trailing rows/columns that do not fill a
 complete block are dropped, with the block grid anchored at (0, 0). This
 keeps the reduction exactly linear, which is what makes reordering it
-with a linear color transform score-preserving.
+with a linear color transform score-preserving. The pipeline crops an
+image to its whole blocks once, before either stage.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ Conventions used throughout the package:
   C-contiguous ``float64`` array. Sample values keep the 0..255 range of
   the source image (no rescaling to [0, 1]), so 8-bit samples stay
   integer-exact in doubles. The pipeline reads the uint8 channels
-  directly: the reduction sums them exactly in integers and the color
-  transform forms its float64 products from them, so no full-resolution
-  float copy of a channel is made.
+  directly, one band of rows at a time, and casts only the band it
+  converts, so no full-resolution float copy of a channel is made.
 * The only on-disk format is binary PNM (P6) with maxval 255; it is
   trivially bit-exact and needs no external decoder.
 """

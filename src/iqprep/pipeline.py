@@ -49,9 +49,9 @@ from enum import Enum
 
 import numpy as np
 
-from iqprep.colorspace import ChannelSet, ColorMatrix, _combine_rows, transform
-# perfbench's traced run wraps transform and block_mean_decimate on this
-# module, so both stay attributes of it although _execute calls neither.
+from iqprep.colorspace import ChannelSet, ColorMatrix, transform
+# perfbench's traced run wraps block_mean_decimate on this module, so it
+# stays an attribute of it although _execute sums with _block_sum.
 from iqprep.downsample import DownsampleSpec, _block_sum, block_mean_decimate, compute_factor
 from iqprep.image import RgbImage8
 
@@ -181,20 +181,22 @@ def predict_ops(
 ) -> StageOps:
     """Closed-form stage costs of one execution on an ``height x width`` image.
 
-    This is the op model of the package. Conversion costs 3 multiplies and
-    2 adds per converted sample and requested channel: every input sample
-    for convert-first, every output sample for downsample-first. A block
-    sum costs M^2 - 1 adds per output sample of each summed plane: the k
-    converted planes for convert-first, the three RGB planes for
-    downsample-first. Scaling costs 1 multiply per output sample of each
-    requested channel. At M = 1 nothing is filtered.
+    This is the op model of the package. Only whole blocks are read; with
+    n_out = (h // M) * (w // M), conversion costs 3 multiplies and 2 adds
+    per converted sample and requested channel: the M^2 * n_out samples of
+    whole blocks for convert-first, exactly M^2 times the n_out output
+    samples downsample-first converts. A block sum costs M^2 - 1 adds per
+    output sample of each summed plane: the k converted planes for
+    convert-first, the three RGB planes for downsample-first. Scaling
+    costs 1 multiply per output sample of each requested channel. At
+    M = 1 nothing is filtered.
     """
     if strategy is Strategy.AUTO:
         raise ValueError("predict_ops needs a concrete strategy, not AUTO")
     m, k = spec.factor, channels.count
     n_out = (height // m) * (width // m)
     df = strategy is Strategy.DOWNSAMPLE_FIRST
-    converted, summed = (n_out, 3) if df else (height * width, k)
+    converted, summed = (n_out, 3) if df else (m * m * n_out, k)
     filtered = n_out if m > 1 else 0
     return StageOps(
         conversion=OpCounter(multiplies=3 * k * converted, adds=2 * k * converted),
@@ -243,7 +245,7 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
 
 
 def _arithmetic(plan: PipelinePlan) -> tuple:
-    """How :func:`_execute` converts and scales: ``(rows, (pixel_t, row_t, sum_t), scale, by)``.
+    """How :func:`_execute` converts: ``(numerators, (pixel_t, row_t, sum_t), scale, by)``.
 
     A decimal matrix (see ``ColorMatrix.decimal_form``) takes the exact
     path: its integer numerators, integers held in floats, and
@@ -255,7 +257,7 @@ def _arithmetic(plan: PipelinePlan) -> tuple:
     partial sum is exact. The block sums and the divisor must stay below
     2^53, so that both are exact in float64 and the one division, in
     float64, is the only rounding. Any other matrix takes the float path:
-    its coefficients, float64 throughout and ``np.multiply`` by 1/M^2.
+    no numerators, float64 throughout and ``np.multiply`` by 1/M^2.
     """
     m = plan.spec.factor
     if plan.matrix.decimal_form is not None:
@@ -266,16 +268,16 @@ def _arithmetic(plan: PipelinePlan) -> tuple:
             bounds = (pixel, pixel * m, pixel * m * m)
             dtypes = tuple(np.float32 if n < 1 << 24 else np.float64 for n in bounds)
             return numerators, dtypes, np.divide, float(divisor)
-    return plan.matrix.coefficients, (np.float64,) * 3, np.multiply, 1.0 / (m * m)
+    return None, (np.float64,) * 3, np.multiply, 1.0 / (m * m)
 
 
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     """Run the ordering ``plan.strategy`` names and count both stages.
 
-    An image shorter or narrower than M is rejected before any work. Both
-    orderings then work one row band at a time (see :func:`_band_rows`).
-    A band is a multiple of M rows; the last band also takes the ``h % M``
-    trailing rows, which fall outside every block.
+    An image shorter or narrower than M is rejected before any work. The
+    boundary policy then applies once: each channel is cropped to a view
+    of its ``(h - h % M) x (w - w % M)`` whole blocks, and both orderings
+    work one band of whole block rows at a time (see :func:`_band_rows`).
 
     Convert-first converts the band and block-sums the k converted
     planes; downsample-first block-sums the three uint8 RGB planes and
@@ -286,7 +288,7 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     once into one staging array and the k requested numerator rows
     multiply it in one matrix product, so both orderings build the same
     integers and round them once, and their outputs are identical. Other
-    matrices convert in ``transform``'s fixed order. No full-size
+    matrices convert band by band with :func:`transform`. No full-size
     intermediate is ever built. Each band records its conversion and
     filtering counts as it runs them.
     """
@@ -296,23 +298,22 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     h, w = image.height, image.width
     if h < m or w < m:
         raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
-    whole = h - h % m  # rows of whole blocks
+    h, w = h - h % m, w - w % m
+    cropped = [c[:h, :w] for c in image.channels]
     step = _band_rows(plan, w)
     convert_first = plan.strategy is Strategy.CONVERT_FIRST
-    rows, (pixel_t, row_t, sum_t), scale, by = _arithmetic(plan)
-    exact = scale is np.divide
+    numerators, (pixel_t, row_t, sum_t), scale, by = _arithmetic(plan)
+    exact = numerators is not None
     outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
     requested = [out for out in outputs if out is not None]
     if exact:
         # the k requested rows, in the dtype of the planes they convert
-        wanted = [row for row, f in zip(rows, plan.channels.flags) if f]
+        wanted = [row for row, f in zip(numerators, plan.channels.flags) if f]
         weights = np.array(wanted, pixel_t if convert_first else sum_t)
         # Every band is staged and converted in the same two buffers, sized
-        # for the largest band: the last one, which also takes the h % M
-        # trailing rows, or the whole image when it is one band. Fresh
-        # buffers per band made glibc's default malloc trim and re-fault
-        # its heap (README, "Benchmark protocol").
-        rows_max = max(min(step, whole), h - (whole - 1) // step * step)
+        # for the largest band. Fresh buffers per band made glibc's default
+        # malloc trim and re-fault its heap (README, "Benchmark protocol").
+        rows_max = min(step, h)
         n_max = rows_max * w if convert_first else rows_max // m * (w // m)
         staging = np.empty(3 * n_max, weights.dtype)
         product = np.empty(len(weights) * n_max, weights.dtype)
@@ -329,17 +330,17 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         size = planes[0].size
         n = size * plan.channels.count
         conversion.record(multiplies=3 * n, adds=2 * n)
-        if not exact:  # the float path keeps transform's order
-            return [p for p in _combine_rows(*planes, rows, plan.channels) if p is not None]
+        if not exact:
+            return [p for p in transform(*planes, plan.matrix, plan.channels) if p is not None]
         # every product and partial sum is an integer exact in the weights'
         # dtype, so neither the order of the sums nor an FMA in BLAS changes a bit
         staged = np.concatenate(planes, axis=None, out=staging[: 3 * size]).reshape(3, size)
         converted = product[: len(weights) * size].reshape(-1, size)
         return np.matmul(weights, staged, out=converted).reshape(-1, *planes[0].shape)
 
-    for a in range(0, whole, step):
-        b = a + step if a + step < whole else h
-        rgb = [c[a:b] for c in image.channels]
+    for a in range(0, h, step):
+        b = a + step
+        rgb = [c[a:b] for c in cropped]
         if convert_first:
             # On the float path the band stays alive until the next one
             # replaces it. Freeing it first made glibc's default malloc trim

@@ -179,6 +179,24 @@ def test_score_output_text_384x512(capsys, tmp_path, options, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+def test_score_output_text_ragged_385x517(capsys, tmp_path):
+    # at M = 2 the trailing row and column fill no block: convert-first
+    # converts the 384x516 samples of whole blocks only
+    ref = tmp_path / "ref.ppm"
+    dst = tmp_path / "dst.ppm"
+    write_pnm(synth_image(385, 517, 1), ref)
+    write_pnm(synth_image(385, 517, 2), dst)
+    code, out, err = run_cli(capsys, "score", "--ref", str(ref), "--dst", str(dst), "--luma-only")
+    expected = (
+        "score 0.816569244\n"
+        "  gradient 0.816569244\n"
+        "strategy convert-first  M 2\n"
+        "conversion ops: 1188864 mul, 792576 add\n"
+        "filtering ops:  99072 mul, 297216 add\n"
+    )
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_score_dimension_mismatch(capsys, tmp_path):
     ref = tmp_path / "ref.ppm"
     dst = tmp_path / "dst.ppm"

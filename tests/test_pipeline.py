@@ -10,7 +10,6 @@ from iqprep.colorspace import (
     IDENTITY_MATRIX,
     ChannelSet,
     ColorMatrix,
-    _combine_rows,
     builtin_matrices,
     builtin_matrix,
     transform,
@@ -97,31 +96,54 @@ def test_filtering_counts_per_output_sample():
 @pytest.mark.parametrize("factor", [2, 3, 4, 8])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_op_model_totals_and_filtering_crossover(k, factor):
-    # README "Strategy selection": with h, w multiples of M and n = h*w,
-    # convert-first totals 6kn ops and downsample-first n(6k + 3(M^2-1))/M^2,
-    # so CF/DF = 2kM^2 / (M^2 + 2k - 1) > 1. Filtering alone is kn against
-    # n(k + 3(M^2-1))/M^2: equal at k = 3, convert-first cheaper below.
+    # README "Strategy selection": with n = (h - h%M)(w - w%M) whole-block
+    # samples, convert-first totals 6kn ops and downsample-first
+    # n(6k + 3(M^2-1))/M^2, so CF/DF = 2kM^2 / (M^2 + 2k - 1) > 1 at every
+    # size. Filtering alone is kn against n(k + 3(M^2-1))/M^2: equal at
+    # k = 3, convert-first cheaper below.
     channels = ChannelSet(*(i < k for i in range(3)))
     spec = DownsampleSpec(factor)
-    height, width = 5 * factor, 7 * factor
-    n, m2 = height * width, factor * factor
-    cf, df = (
-        predict_ops(height, width, channels, spec, s)
-        for s in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
-    )
+    m2 = factor * factor
 
     def count(counter):
         return counter.multiplies + counter.adds
 
-    cf_filter, df_filter = count(cf.filtering), count(df.filtering)
-    cf_total, df_total = cf_filter + count(cf.conversion), df_filter + count(df.conversion)
-    assert cf_total == 6 * k * n
-    assert Fraction(df_total) == Fraction(n * (6 * k + 3 * (m2 - 1)), m2)
-    ratio = Fraction(cf_total, df_total)
-    assert ratio == Fraction(2 * k * m2, m2 + 2 * k - 1) and ratio > 1
-    assert cf_filter == k * n
-    assert Fraction(df_filter) == Fraction(n * (k + 3 * (m2 - 1)), m2)
-    assert (cf_filter < df_filter) if k < 3 else (cf_filter == df_filter)
+    for height, width in ((5 * factor, 7 * factor), (6 * factor - 1, 7 * factor + 1)):
+        n = (height - height % factor) * (width - width % factor)
+        cf, df = (
+            predict_ops(height, width, channels, spec, s)
+            for s in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+        )
+        cf_filter, df_filter = count(cf.filtering), count(df.filtering)
+        cf_total, df_total = cf_filter + count(cf.conversion), df_filter + count(df.conversion)
+        assert cf_total == 6 * k * n
+        assert Fraction(df_total) == Fraction(n * (6 * k + 3 * (m2 - 1)), m2)
+        ratio = Fraction(cf_total, df_total)
+        assert ratio == Fraction(2 * k * m2, m2 + 2 * k - 1) and ratio > 1
+        assert cf_filter == k * n
+        assert Fraction(df_filter) == Fraction(n * (k + 3 * (m2 - 1)), m2)
+        assert (cf_filter < df_filter) if k < 3 else (cf_filter == df_filter)
+
+
+@pytest.mark.parametrize("height, width, factor", [(37, 29, 17), (7, 9, 3), (385, 517, 2)])
+def test_conversion_ratio_is_m_squared_at_ragged_sizes(height, width, factor):
+    # convert-first converts the M^2 samples of each whole block and no
+    # trailing row or column, so CF/DF conversion is exactly M^2. 37x29 at
+    # M = 17 holds 2x1 blocks: all channels count OpCounter(5202, 3468)
+    # convert-first against OpCounter(18, 12) downsample-first.
+    img = synth_image(height, width, 2)
+    spec = DownsampleSpec(factor)
+    n_out = (height // factor) * (width // factor)
+    for matrix in (builtin_matrix("yiq"), THIRD):
+        for channels in CHANNEL_SETS:
+            k = channels.count
+            for strategy, converted in (
+                (Strategy.CONVERT_FIRST, factor * factor * n_out),
+                (Strategy.DOWNSAMPLE_FIRST, n_out),
+            ):
+                result = preprocess(img, matrix, channels, strategy, spec)
+                for ops in (result.ops, predict_ops(height, width, channels, spec, strategy)):
+                    assert ops.conversion == OpCounter(3 * k * converted, 2 * k * converted)
 
 
 @pytest.mark.parametrize(
@@ -446,8 +468,8 @@ def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, n
 def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, width):
     # either ordering rejects such an image before converting or summing
     # anything, with the error block_mean_decimate gives for the whole
-    # plane; the exact path converts without _combine_rows, but every
-    # band it converts is block-summed next
+    # plane; the exact path converts without transform, but every band
+    # it converts is block-summed next
     spec = DownsampleSpec(4)
     with pytest.raises(ValueError) as whole_plane:
         block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
@@ -461,7 +483,7 @@ def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, wid
 
         return wrapper
 
-    monkeypatch.setattr(pipeline, "_combine_rows", recording(_combine_rows))
+    monkeypatch.setattr(pipeline, "transform", recording(transform))
     monkeypatch.setattr(pipeline, "_block_sum", recording(pipeline._block_sum))
     for matrix in (builtin_matrix("yiq"), THIRD):
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
