@@ -4,7 +4,8 @@ Two implementations of the same reduction are kept on purpose:
 
 * :func:`block_mean_decimate` averages each M x M block directly at the
   retained output positions, one pass, no full-resolution intermediate.
-  The pipeline calls its block sum, ``_block_sum``, band by band.
+  The pipeline calls its block sum, ``_block_sum``, band by band for a
+  matrix without a decimal form.
 * :func:`separate_filter_then_decimate` is the literal two-stage form:
   filter the full grid with uniform 1/M^2 weights, then sample the
   filtered image at stride M from the origin. It exists as an
@@ -19,6 +20,12 @@ the same reciprocal 1/M^2. On identical input they therefore agree bit
 for bit, not merely within tolerance. 8-bit planes are summed in
 integers, where every partial sum is exact, so the result equals the
 float64 path on the same values bit for bit as well.
+
+``_integer_block_sum`` is the pipeline's kernel for integer-valued
+planes (a decimal matrix's exact path): one reduction of the M rows of
+each block and one matrix product of those row sums with M ones. Its
+partial sums are exact integers, so the order in which the reduction
+and BLAS add them cannot change a bit, and no order is fixed for it.
 
 Boundary policy (fixed in v1): trailing rows/columns that do not fill a
 complete block are dropped, with the block grid anchored at (0, 0). This
@@ -148,6 +155,28 @@ def _block_sum(
     for l in range(2, m):
         acc += cols[:, l::m]
     return acc
+
+
+def _integer_block_sum(
+    plane: np.ndarray, m: int, rows: np.ndarray, columns: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Sums of the M x M blocks of an integer-valued plane of whole blocks, into ``out``.
+
+    For M >= 2. ``rows`` and ``columns`` are flat scratch buffers of at
+    least ``plane.size / M`` elements, reused from call to call; ``out``
+    is flat, of ``plane.size / M^2`` elements and ``columns``' dtype. One
+    reduction adds the M rows of each block into ``rows``, in its dtype;
+    they are cast to ``columns``, a float dtype, unless it is ``rows``
+    itself; one matrix product with M ones adds the M columns of each
+    block. Every partial sum must be an integer exact in its dtype: then
+    neither the reduction's order nor BLAS's changes a bit.
+    """
+    r, w = plane.shape[0] // m, plane.shape[1]
+    row_sums = rows[: r * w].reshape(r, w)
+    np.add.reduce(plane.reshape(r, m, w), axis=1, dtype=rows.dtype, out=row_sums)
+    if columns is not rows:
+        np.copyto(columns[: r * w], rows[: r * w])
+    return np.matmul(columns[: r * w].reshape(-1, m), np.ones(m, columns.dtype), out=out)
 
 
 def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:

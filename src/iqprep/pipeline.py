@@ -20,17 +20,20 @@ For a matrix of decimals (both built-ins, and the identity) both
 orderings sum integers and divide once, so they commute exactly: their
 outputs are bit-identical and each sample is its exact value rounded
 once. The integers are held in float32 while they stay below 2^24 and
-in float64 above, and each band is converted by one matrix product of
-the numerators and its three planes. Other matrices run in float64,
-in ``transform``'s fixed order, where the orderings agree up to
+in float64 above. Each band is converted by one matrix product of the
+numerators and its three planes, and block-summed by one reduction of
+the M rows of each block and one matrix product of the row sums with M
+ones: every partial sum is an exact integer, so no order of the sums
+changes a bit. Other matrices run in float64, in ``transform``'s and
+``_block_sum``'s fixed orders, where the orderings agree up to
 floating-point reassociation.
 
 Both orderings run in row bands of whole M x M blocks. A convert-first
 band (about 2^16 samples) is converted and then reduced while its planes
-are still in cache; a downsample-first band (about 2^14 reduced samples)
-is block-summed from the uint8 channels and then converted. No full-size
-intermediate is built on either path, and each output sample sees the
-same operations in the same order as in whole-plane calls.
+are still in cache; a downsample-first band (about 2^14 reduced samples,
+fewer from M = 5 up) is block-summed from the uint8 channels and then
+converted. No full-size intermediate is built on either path, and each
+output sample gets the bits it gets from whole-plane calls.
 
 This module holds the package's one op model: :func:`_execute` counts
 each run's multiplies and adds band by band, and :func:`predict_ops`
@@ -51,8 +54,15 @@ import numpy as np
 
 from iqprep.colorspace import ChannelSet, ColorMatrix, transform
 # perfbench's traced run wraps block_mean_decimate on this module, so it
-# stays an attribute of it although _execute sums with _block_sum.
-from iqprep.downsample import DownsampleSpec, _block_sum, block_mean_decimate, compute_factor
+# stays an attribute of it although _execute sums with _integer_block_sum
+# (decimal matrices) and _block_sum (others).
+from iqprep.downsample import (
+    DownsampleSpec,
+    _block_sum,
+    _integer_block_sum,
+    block_mean_decimate,
+    compute_factor,
+)
 from iqprep.image import RgbImage8
 
 __all__ = [
@@ -233,14 +243,16 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
     about 2^16 samples, so its converted planes are still in cache when
     they are reduced. Downsample-first converts only the reduced rows, so
     its band is sized by them: about 2^14 reduced samples (M^2 * 2^14
-    input samples), 128 KB per float64 output plane. Its bands are therefore
-    much taller, which keeps the numpy calls per image few: with 2^16
-    input samples per band, call overhead more than doubled the time of a
-    4K image at M = 8.
+    input samples), 128 KB per float64 output plane, but from M = 5 up at
+    most about 2^16 row sums per RGB plane (M * 2^16 input samples), so
+    that the block sums' scratch stays as small as a convert-first band.
+    Its bands are therefore much taller, which keeps the numpy calls per
+    image few: with 2^16 input samples per band, call overhead more than
+    doubled the time of a 4K image at M = 8.
     """
     m = plan.spec.factor
     full_resolution = plan.strategy is Strategy.CONVERT_FIRST or m == 1
-    samples = 1 << 16 if full_resolution else (m * m) << 14
+    samples = 1 << 16 if full_resolution else min(m * m << 14, m << 16)
     return m * max(1, samples // (m * width))
 
 
@@ -284,13 +296,16 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     converts the sums; at M = 1 a block sum is the sample itself. Each
     requested plane of sums is then scaled once, in float64, into its
     output rows. For a decimal matrix all of this runs on integers held
-    in floats (see :func:`_arithmetic`): the band's three planes are cast
-    once into one staging array and the k requested numerator rows
-    multiply it in one matrix product, so both orderings build the same
-    integers and round them once, and their outputs are identical. Other
-    matrices convert band by band with :func:`transform`. No full-size
-    intermediate is ever built. Each band records its conversion and
-    filtering counts as it runs them.
+    in floats (see :func:`_arithmetic`): the band's three planes are
+    staged in one array and the k requested numerator rows convert it in
+    one matrix product, and each block sum is one reduction of the M rows
+    of each block and one matrix product of the row sums with M ones
+    (``_integer_block_sum``). Every partial sum is an exact integer, so
+    both orderings build the same integers in any order and round them
+    once, and their outputs are identical. Other matrices convert band by
+    band with :func:`transform` and sum in ``_block_sum``'s fixed order.
+    No full-size intermediate is ever built. Each band records its
+    conversion and filtering counts as it runs them.
     """
     conversion = OpCounter()
     filtering = OpCounter()
@@ -310,13 +325,25 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         # the k requested rows, in the dtype of the planes they convert
         wanted = [row for row, f in zip(numerators, plan.channels.flags) if f]
         weights = np.array(wanted, pixel_t if convert_first else sum_t)
-        # Every band is staged and converted in the same two buffers, sized
-        # for the largest band. Fresh buffers per band made glibc's default
-        # malloc trim and re-fault its heap (README, "Benchmark protocol").
+        # Every band is staged, converted and block-summed in the same
+        # buffers, sized for the largest band. Fresh buffers per band made
+        # glibc's default malloc trim and re-fault its heap (README,
+        # "Benchmark protocol").
         rows_max = min(step, h)
         n_max = rows_max * w if convert_first else rows_max // m * (w // m)
         staging = np.empty(3 * n_max, weights.dtype)
         product = np.empty(len(weights) * n_max, weights.dtype)
+        if m > 1 and convert_first:
+            # the k converted planes are summed at once
+            rows = np.empty(len(weights) * rows_max // m * w, row_t)
+            columns = rows if row_t == sum_t else np.empty(rows.size, sum_t)
+            sums = np.empty(len(weights) * rows_max // m * (w // m), sum_t)
+        elif m > 1:
+            # one uint8 plane at a time: its row sums are at most 255 M, its
+            # block sums 255 M^2, held in float32 below 2^24
+            rows = np.empty(rows_max // m * w, np.min_scalar_type(255 * m))
+            columns = np.empty(rows.size, np.float32 if 255 * m * m < 1 << 24 else np.float64)
+            sums = staging if columns.dtype == sum_t else np.empty(staging.size, columns.dtype)
 
     def block_sum(plane: np.ndarray, *dtypes: type) -> np.ndarray:
         if m == 1:
@@ -325,31 +352,59 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         filtering.record(adds=(m * m - 1) * sums.size)
         return sums
 
-    def convert(planes: list) -> Iterable[np.ndarray]:
-        """The requested channels of three equal-shaped planes, in channel order."""
-        size = planes[0].size
+    def integer_block_sum(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _integer_block_sum(plane, m, rows, columns, out)
+        filtering.record(adds=(m * m - 1) * out.size)
+        return out
+
+    def count_conversion(size: int) -> None:
         n = size * plan.channels.count
         conversion.record(multiplies=3 * n, adds=2 * n)
-        if not exact:
-            return [p for p in transform(*planes, plan.matrix, plan.channels) if p is not None]
+
+    def stage(planes: list) -> np.ndarray:
+        size = planes[0].size
+        return np.concatenate(planes, axis=None, out=staging[: 3 * size]).reshape(3, size)
+
+    def convert(staged: np.ndarray, shape: tuple) -> np.ndarray:
+        """Exact path: the requested channels of the three staged planes, in channel order."""
+        size = staged.shape[1]
+        count_conversion(size)
         # every product and partial sum is an integer exact in the weights'
         # dtype, so neither the order of the sums nor an FMA in BLAS changes a bit
-        staged = np.concatenate(planes, axis=None, out=staging[: 3 * size]).reshape(3, size)
         converted = product[: len(weights) * size].reshape(-1, size)
-        return np.matmul(weights, staged, out=converted).reshape(-1, *planes[0].shape)
+        return np.matmul(weights, staged, out=converted).reshape(-1, *shape)
 
     for a in range(0, h, step):
         b = a + step
         rgb = [c[a:b] for c in cropped]
-        if convert_first:
-            # On the float path the band stays alive until the next one
-            # replaces it. Freeing it first made glibc's default malloc trim
-            # and re-fault its heap on every band (README, "Benchmark protocol").
-            band = convert(rgb)
-            sums = [block_sum(p, sum_t, row_t) for p in band]
+        shape = rgb[0].shape
+        reduced = (shape[0] // m, w // m)
+        n = reduced[0] * reduced[1]
+        if not exact:
+            count_conversion(rgb[0].size if convert_first else n)
+            if convert_first:
+                # The band stays alive until the next one replaces it. Freeing
+                # it first made glibc's default malloc trim and re-fault its
+                # heap on every band (README, "Benchmark protocol").
+                band = transform(*rgb, plan.matrix, plan.channels)
+                totals = [block_sum(p, sum_t, row_t) for p in band if p is not None]
+            else:
+                means = transform(*(block_sum(c) for c in rgb), plan.matrix, plan.channels)
+                totals = [p for p in means if p is not None]
+        elif convert_first:
+            band = convert(stage(rgb), shape)
+            if m > 1:
+                band = integer_block_sum(band.reshape(-1, w), sums[: len(band) * n])
+            totals = band.reshape(-1, *reduced)
+        elif m > 1:
+            for i, c in enumerate(rgb):
+                integer_block_sum(c, sums[i * n : (i + 1) * n])
+            if sums is not staging:
+                np.copyto(staging[: 3 * n], sums[: 3 * n])
+            totals = convert(staging[: 3 * n].reshape(3, n), reduced)
         else:
-            sums = convert([block_sum(c) for c in rgb])
-        for out, total in zip(requested, sums):
+            totals = convert(stage(rgb), reduced)
+        for out, total in zip(requested, totals):
             # dtype: a float32 sum divided by a Python float would round in float32
             scale(total, by, out=out[a // m : b // m], dtype=np.float64)
             # at M = 1 there is no mean to take; predict_ops counts none

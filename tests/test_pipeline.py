@@ -469,7 +469,7 @@ def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, wid
     # either ordering rejects such an image before converting or summing
     # anything, with the error block_mean_decimate gives for the whole
     # plane; the exact path converts without transform, but every band
-    # it converts is block-summed next
+    # it converts is block-summed next, by _integer_block_sum at M > 1
     spec = DownsampleSpec(4)
     with pytest.raises(ValueError) as whole_plane:
         block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
@@ -485,6 +485,7 @@ def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, wid
 
     monkeypatch.setattr(pipeline, "transform", recording(transform))
     monkeypatch.setattr(pipeline, "_block_sum", recording(pipeline._block_sum))
+    monkeypatch.setattr(pipeline, "_integer_block_sum", recording(pipeline._integer_block_sum))
     for matrix in (builtin_matrix("yiq"), THIRD):
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
             with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
@@ -564,6 +565,12 @@ F32, F64 = np.float32, np.float64
         pytest.param("yiq", 85, (F32, F64, F64), id="yiq-85-int64"),
         pytest.param("positive", 53, (F32, F64, F64), id="positive-53-int32"),
         pytest.param("positive", 54, (F32, F64, F64), id="positive-54-int64"),
+        # the edges of _integer_block_sum's downsample-first types: an
+        # RGB block sum 255 * M^2 stays below 2^24, so exact in a float32
+        # operand, up to M = 256; a row sum 255 * M fits uint16 up to 257
+        pytest.param("yiq", 256, (F32, F64, F64), id="yiq-256-f32-uint16"),
+        pytest.param("yiq", 257, (F32, F64, F64), id="yiq-257-f64-uint16"),
+        pytest.param("yiq", 258, (F32, F64, F64), id="yiq-258-f64-uint32"),
     ],
     ids=lambda v: "-".join(t.__name__[5:] for t in v) if isinstance(v, tuple) else None,
 )
@@ -580,6 +587,45 @@ def test_exact_path_at_accumulator_edges(name, factor, dtypes, fill):
         assert pipeline._arithmetic(result.plan)[1] == dtypes
         _assert_planes_equal(result.planes, want, strategy)
         assert result.ops == result.plan.predicted
+
+
+def _int64_oracle(img, matrix, channels, m):
+    """Block sums by reshape and the numerators in int64, then one float64 division each.
+
+    Every integer here is below 2^53, so the division is the one rounding.
+    """
+    numerators, d = matrix.decimal_form
+    h, w = img.height // m, img.width // m
+    sums = [c[: h * m, : w * m].reshape(h, m, w, m).sum(axis=(1, 3), dtype=np.int64) for c in img.channels]
+    divisor = float(10**d * m * m)
+    return [
+        sum(n * s for n, s in zip(row, sums)) / divisor if f else None
+        for row, f in zip(numerators, channels.flags)
+    ]
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, 8, 16, 17])
+def test_exact_path_equals_the_int64_oracle_across_bands(factor):
+    # ragged images at least two downsample-first bands (and many more
+    # convert-first ones) tall, so every band edge of both orderings and
+    # the reused band buffers are crossed at each of these factors
+    spec = DownsampleSpec(factor)
+    whole = 37 * factor
+    width = whole + factor - 1
+
+    def band_rows(strategy):
+        return pipeline._band_rows(plan_pipeline(1, width, IDENTITY_MATRIX, ALL, spec, strategy), whole)
+
+    height = 2 * band_rows(Strategy.DOWNSAMPLE_FIRST) + factor + 1
+    assert height > 2 * band_rows(Strategy.CONVERT_FIRST)
+    img = synth_image(height, width, factor)
+    for matrix in (builtin_matrix("yiq"), builtin_matrix("lmn"), IDENTITY_MATRIX):
+        for channels in CHANNEL_SETS:
+            want = _int64_oracle(img, matrix, channels, factor)
+            for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+                result = preprocess(img, matrix, channels, strategy, spec)
+                _assert_planes_equal(result.planes, want, matrix.name, channels, strategy)
+                assert result.ops == result.plan.predicted
 
 
 @pytest.mark.parametrize("factor", [1, 2])
