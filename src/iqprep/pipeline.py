@@ -348,9 +348,9 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     def block_sum(plane: np.ndarray, *dtypes: type) -> np.ndarray:
         if m == 1:
             return plane
-        sums = _block_sum(plane, m, *dtypes)
-        filtering.record(adds=(m * m - 1) * sums.size)
-        return sums
+        summed = _block_sum(plane, m, *dtypes)
+        filtering.record(adds=(m * m - 1) * summed.size)
+        return summed
 
     def integer_block_sum(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
         _integer_block_sum(plane, m, rows, columns, out)
@@ -361,24 +361,18 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         n = size * plan.channels.count
         conversion.record(multiplies=3 * n, adds=2 * n)
 
-    def stage(planes: list) -> np.ndarray:
-        size = planes[0].size
-        return np.concatenate(planes, axis=None, out=staging[: 3 * size]).reshape(3, size)
-
-    def convert(staged: np.ndarray, shape: tuple) -> np.ndarray:
-        """Exact path: the requested channels of the three staged planes, in channel order."""
+    def convert(staged: np.ndarray) -> np.ndarray:
+        """Exact path: the requested channels of the (3, n) staged planes, in channel order."""
         size = staged.shape[1]
         count_conversion(size)
         # every product and partial sum is an integer exact in the weights'
         # dtype, so neither the order of the sums nor an FMA in BLAS changes a bit
-        converted = product[: len(weights) * size].reshape(-1, size)
-        return np.matmul(weights, staged, out=converted).reshape(-1, *shape)
+        return np.matmul(weights, staged, out=product[: len(weights) * size].reshape(-1, size))
 
     for a in range(0, h, step):
         b = a + step
         rgb = [c[a:b] for c in cropped]
-        shape = rgb[0].shape
-        reduced = (shape[0] // m, w // m)
+        reduced = (rgb[0].shape[0] // m, w // m)
         n = reduced[0] * reduced[1]
         if not exact:
             count_conversion(rgb[0].size if convert_first else n)
@@ -391,19 +385,19 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
             else:
                 means = transform(*(block_sum(c) for c in rgb), plan.matrix, plan.channels)
                 totals = [p for p in means if p is not None]
-        elif convert_first:
-            band = convert(stage(rgb), shape)
+        elif convert_first or m == 1:
+            size = rgb[0].size
+            staged = np.concatenate(rgb, axis=None, out=staging[: 3 * size]).reshape(3, size)
+            band = convert(staged)
             if m > 1:
                 band = integer_block_sum(band.reshape(-1, w), sums[: len(band) * n])
             totals = band.reshape(-1, *reduced)
-        elif m > 1:
+        else:
             for i, c in enumerate(rgb):
                 integer_block_sum(c, sums[i * n : (i + 1) * n])
             if sums is not staging:
                 np.copyto(staging[: 3 * n], sums[: 3 * n])
-            totals = convert(staging[: 3 * n].reshape(3, n), reduced)
-        else:
-            totals = convert(stage(rgb), reduced)
+            totals = convert(staging[: 3 * n].reshape(3, n)).reshape(-1, *reduced)
         for out, total in zip(requested, totals):
             # dtype: a float32 sum divided by a Python float would round in float32
             scale(total, by, out=out[a // m : b // m], dtype=np.float64)
