@@ -337,20 +337,20 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
             # the k converted planes are summed at once
             rows = np.empty(len(weights) * rows_max // m * w, row_t)
             columns = rows if row_t == sum_t else np.empty(rows.size, sum_t)
-            sums = np.empty(len(weights) * rows_max // m * (w // m), sum_t)
+            summed = np.empty(len(weights) * rows_max // m * (w // m), sum_t)
         elif m > 1:
             # one uint8 plane at a time: its row sums are at most 255 M, its
             # block sums 255 M^2, held in float32 below 2^24
             rows = np.empty(rows_max // m * w, np.min_scalar_type(255 * m))
             columns = np.empty(rows.size, np.float32 if 255 * m * m < 1 << 24 else np.float64)
-            sums = staging if columns.dtype == sum_t else np.empty(staging.size, columns.dtype)
+            summed = staging if columns.dtype == sum_t else np.empty(staging.size, columns.dtype)
 
     def block_sum(plane: np.ndarray, *dtypes: type) -> np.ndarray:
         if m == 1:
             return plane
-        summed = _block_sum(plane, m, *dtypes)
-        filtering.record(adds=(m * m - 1) * summed.size)
-        return summed
+        sums = _block_sum(plane, m, *dtypes)
+        filtering.record(adds=(m * m - 1) * sums.size)
+        return sums
 
     def integer_block_sum(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
         _integer_block_sum(plane, m, rows, columns, out)
@@ -390,13 +390,13 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
             staged = np.concatenate(rgb, axis=None, out=staging[: 3 * size]).reshape(3, size)
             band = convert(staged)
             if m > 1:
-                band = integer_block_sum(band.reshape(-1, w), sums[: len(band) * n])
+                band = integer_block_sum(band.reshape(-1, w), summed[: len(band) * n])
             totals = band.reshape(-1, *reduced)
         else:
             for i, c in enumerate(rgb):
-                integer_block_sum(c, sums[i * n : (i + 1) * n])
-            if sums is not staging:
-                np.copyto(staging[: 3 * n], sums[: 3 * n])
+                integer_block_sum(c, summed[i * n : (i + 1) * n])
+            if summed is not staging:
+                np.copyto(staging[: 3 * n], summed[: 3 * n])
             totals = convert(staging[: 3 * n].reshape(3, n)).reshape(-1, *reduced)
         for out, total in zip(requested, totals):
             # dtype: a float32 sum divided by a Python float would round in float32
