@@ -383,8 +383,8 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
                 band = transform(*rgb, plan.matrix, plan.channels)
                 totals = [block_sum(p, sum_t, row_t) for p in band if p is not None]
             else:
-                means = transform(*(block_sum(c) for c in rgb), plan.matrix, plan.channels)
-                totals = [p for p in means if p is not None]
+                converted = transform(*(block_sum(c) for c in rgb), plan.matrix, plan.channels)
+                totals = [p for p in converted if p is not None]
         elif convert_first or m == 1:
             size = rgb[0].size
             staged = np.concatenate(rgb, axis=None, out=staging[: 3 * size]).reshape(3, size)
