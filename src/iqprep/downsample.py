@@ -22,10 +22,13 @@ integers, where every partial sum is exact, so the result equals the
 float64 path on the same values bit for bit as well.
 
 ``_integer_block_sum`` is the pipeline's kernel for integer-valued
-planes (a decimal matrix's exact path): one reduction of the M rows of
-each block and one matrix product of those row sums with M ones. Its
-partial sums are exact integers, so the order in which the reduction
-and BLAS add them cannot change a bit, and no order is fixed for it.
+uint8 planes (a decimal matrix's exact path, downsample-first): one
+reduction of the M rows of each block, then ``_column_sums``, one
+matrix product of those row sums with M ones. Convert-first's
+conversion product adds the rows itself and calls ``_column_sums``
+alone. Their partial sums are exact integers, so the order in which the
+reduction and BLAS add them cannot change a bit, and no order is fixed
+for them.
 
 Boundary policy (fixed in v1): trailing rows/columns that do not fill a
 complete block are dropped, with the block grid anchored at (0, 0). This
@@ -164,19 +167,35 @@ def _integer_block_sum(
 
     For M >= 2. ``rows`` and ``columns`` are flat scratch buffers of at
     least ``plane.size / M`` elements, reused from call to call; ``out``
-    is flat, of ``plane.size / M^2`` elements and ``columns``' dtype. One
-    reduction adds the M rows of each block into ``rows``, in its dtype;
-    they are cast to ``columns``, a float dtype, unless it is ``rows``
-    itself; one matrix product with M ones adds the M columns of each
-    block. Every partial sum must be an integer exact in its dtype: then
-    neither the reduction's order nor BLAS's changes a bit.
+    is flat, of ``plane.size / M^2`` elements. One reduction adds the M
+    rows of each block into ``rows``, in its dtype, and
+    :func:`_column_sums` adds the M columns. Every partial sum must be an
+    integer exact in its dtype: then neither the reduction's order nor
+    BLAS's changes a bit.
     """
     r, w = plane.shape[0] // m, plane.shape[1]
     row_sums = rows[: r * w].reshape(r, w)
     np.add.reduce(plane.reshape(r, m, w), axis=1, dtype=rows.dtype, out=row_sums)
-    if columns is not rows:
-        np.copyto(columns[: r * w], rows[: r * w])
-    return np.matmul(columns[: r * w].reshape(-1, m), np.ones(m, columns.dtype), out=out)
+    return _column_sums(row_sums, m, columns, out)
+
+
+def _column_sums(
+    row_sums: np.ndarray, m: int, columns: np.ndarray | None, out: np.ndarray
+) -> np.ndarray:
+    """Sums of each M consecutive integer row sums, in C order, into ``out``.
+
+    For M >= 2: ``row_sums`` holds ``out.size * M`` of them, the M row
+    sums of a block side by side. Unless they have ``out``'s float dtype
+    already, they are cast into ``columns``, a flat scratch buffer of
+    that dtype reused from call to call. One matrix product with M ones
+    then adds each block's M columns; its partial sums are exact
+    integers, so BLAS's order cannot change a bit.
+    """
+    if row_sums.dtype != out.dtype:
+        cast = columns[: row_sums.size]
+        np.copyto(cast.reshape(row_sums.shape), row_sums)
+        row_sums = cast
+    return np.matmul(row_sums.reshape(-1, m), np.ones(m, out.dtype), out=out)
 
 
 def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:

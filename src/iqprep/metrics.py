@@ -145,15 +145,27 @@ def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray) -> np.ndar
     return (2.0 * ref * dst + _CHROMA_T) / (ref**2 + dst**2 + _CHROMA_T)
 
 
-def _chroma_power(product: np.ndarray, weight: float) -> np.ndarray:
+def _chroma_power(
+    product: np.ndarray, weight: float, scratch: np.ndarray | None = None
+) -> np.ndarray:
     # Real part of the principal-branch power x^w, the real() convention
     # the established metrics use for their chroma exponent. For x >= 0
     # (-0.0 included) it is |x|^w; for x < 0 it is |x|^w * cos(pi*w). Real
     # arithmetic gives it without a complex128 copy of the plane, and
-    # weight 0 gives exactly 1 everywhere.
+    # weight 0 gives exactly 1 everywhere. ``product`` is left as it is.
+    #
+    # Every sample is multiplied by a factor gathered by its sign, 1.0 or
+    # cos(pi*w), into ``scratch`` if given (float64, the product's shape);
+    # x * 1.0 is x for every x, NaN and inf included. A multiply masked by
+    # the signs cost about 10 ns per sample. With the default "raise"
+    # mode, take would buffer its out array. The factors are gathered
+    # before the power exists, so take's copy of the indices is freed by
+    # then and the peak stays that of the masked multiply.
+    negative = (product < 0).view(np.uint8)
+    factors = np.array([1.0, np.cos(np.pi * weight)]).take(negative, out=scratch, mode="clip")
     power = np.abs(product)
     power **= weight
-    np.multiply(power, np.cos(np.pi * weight), out=power, where=product < 0)
+    power *= factors
     return power
 
 
@@ -171,16 +183,22 @@ def _tile_sums(
     gradient_map = gradient_similarity(ref.luma[lo:hi], dst.luma[lo:hi])
     gradient_map = gradient_map[a - lo : b - lo]
     chroma_sums = [0.0, 0.0]
-    product = None
+    product = scratch = None
     for i, (ref_c, dst_c) in enumerate(zip(ref.planes[1:], dst.planes[1:])):
         if ref_c is not None:
             cmap = chroma_similarity(ref_c[a:b], dst_c[a:b])
             chroma_sums[i] = float(cmap.sum())
-            product = cmap if product is None else product * cmap
+            if product is None:
+                product = cmap
+            else:
+                # the second map is dead once multiplied in: the chroma
+                # power gathers its sign factors there
+                product = product * cmap
+                scratch = cmap
     if product is None:
         composite = gradient_map
     else:
-        composite = gradient_map * _chroma_power(product, _CHROMA_WEIGHT)
+        composite = gradient_map * _chroma_power(product, _CHROMA_WEIGHT, scratch)
     return (float(composite.sum()), float(gradient_map.sum()), *chroma_sums)
 
 

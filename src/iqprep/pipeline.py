@@ -20,13 +20,16 @@ For a matrix of decimals (both built-ins, and the identity) both
 orderings sum integers and divide once, so they commute exactly: their
 outputs are bit-identical and each sample is its exact value rounded
 once. The integers are held in float32 while they stay below 2^24 and
-in float64 above. Each band is converted by one matrix product of the
-numerators and its three planes, and block-summed by one reduction of
-the M rows of each block and one matrix product of the row sums with M
-ones: every partial sum is an exact integer, so no order of the sums
-changes a bit. Other matrices run in float64, in ``transform``'s and
-``_block_sum``'s fixed orders, where the orderings agree up to
-floating-point reassociation.
+in float64 above. Convert-first stages a band's three planes as the M
+rows of its blocks and multiplies them by the numerators, each repeated
+M times, so one matrix product converts every sample and adds the M
+rows of each block; one more product with M ones adds the columns.
+Downsample-first adds the M rows of each block of a uint8 plane in one
+reduction and the columns in the same product with M ones, and converts
+the three planes of sums in one product. Every partial sum is an exact
+integer, so no order of the sums changes a bit. Other matrices run in
+float64, in ``transform``'s and ``_block_sum``'s fixed orders, where
+the orderings agree up to floating-point reassociation.
 
 Both orderings run in row bands of whole M x M blocks. A convert-first
 band (about 2^16 samples) is converted and then reduced while its planes
@@ -54,11 +57,12 @@ import numpy as np
 
 from iqprep.colorspace import ChannelSet, ColorMatrix, transform
 # perfbench's traced run wraps block_mean_decimate on this module, so it
-# stays an attribute of it although _execute sums with _integer_block_sum
-# (decimal matrices) and _block_sum (others).
+# stays an attribute of it although _execute sums with _column_sums and
+# _integer_block_sum (decimal matrices) and _block_sum (others).
 from iqprep.downsample import (
     DownsampleSpec,
     _block_sum,
+    _column_sums,
     _integer_block_sum,
     block_mean_decimate,
     compute_factor,
@@ -150,7 +154,11 @@ class PipelinePlan:
 
 @dataclass(frozen=True, eq=False)
 class PreprocessedChannels:
-    """Reduced-resolution output planes plus the plan and measured costs, compared by identity."""
+    """Reduced-resolution output planes plus the plan and measured costs, compared by identity.
+
+    The requested planes of a pipeline result are views of one
+    (k, h/M, w/M) float64 array, in channel order.
+    """
 
     luma: np.ndarray | None
     chroma1: np.ndarray | None
@@ -266,10 +274,13 @@ def _arithmetic(plan: PipelinePlan) -> tuple:
     M pixels in one row at most P * M, and a block sum at most P * M^2.
     Each is held in float32 (``pixel_t``, ``row_t``, ``sum_t``) while its
     bound is below 2^24 and in float64 otherwise, so every integer and
-    partial sum is exact. The block sums and the divisor must stay below
-    2^53, so that both are exact in float64 and the one division, in
-    float64, is the only rounding. Any other matrix takes the float path:
-    no numerators, float64 throughout and ``np.multiply`` by 1/M^2.
+    partial sum is exact. :func:`_execute` converts convert-first's
+    pixels in the product that adds their rows, so it holds them in
+    ``row_t``, which is ``pixel_t`` at M = 1 and never narrower. The
+    block sums and the divisor must stay below 2^53, so that both are
+    exact in float64 and the one division, in float64, is the only
+    rounding. Any other matrix takes the float path: no numerators,
+    float64 throughout and ``np.multiply`` by 1/M^2.
     """
     m = plan.spec.factor
     if plan.matrix.decimal_form is not None:
@@ -293,18 +304,29 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
 
     Convert-first converts the band and block-sums the k converted
     planes; downsample-first block-sums the three uint8 RGB planes and
-    converts the sums; at M = 1 a block sum is the sample itself. Each
-    requested plane of sums is then scaled once, in float64, into its
-    output rows. For a decimal matrix all of this runs on integers held
-    in floats (see :func:`_arithmetic`): the band's three planes are
-    staged in one array and the k requested numerator rows convert it in
-    one matrix product, and each block sum is one reduction of the M rows
-    of each block and one matrix product of the row sums with M ones
-    (``_integer_block_sum``). Every partial sum is an exact integer, so
-    both orderings build the same integers in any order and round them
-    once, and their outputs are identical. Other matrices convert band by
-    band with :func:`transform` and sum in ``_block_sum``'s fixed order.
-    No full-size intermediate is ever built. Each band records its
+    converts the sums; at M = 1 a block sum is the sample itself. The
+    requested planes of sums are then scaled, in float64, into their
+    output rows of one (k, h/M, w/M) array, whose views the result holds.
+    For a decimal matrix all of this runs on integers held in floats (see
+    :func:`_arithmetic`), and the scale is one call per band:
+
+    * convert-first stages the band's three planes in one (3M, rows/M *
+      w) array whose row c * M + i holds row i of every block row of
+      channel c. The k requested numerator rows, each coefficient
+      repeated M times, multiply it in one matrix product, which
+      converts every sample and adds the M rows of each block, so its
+      output is the k planes of row sums. ``_column_sums`` adds their M
+      columns in one more product, with M ones;
+    * downsample-first block-sums each uint8 plane with
+      ``_integer_block_sum`` (one reduction of the M rows of each block,
+      then ``_column_sums``) and converts the three planes of sums in one
+      matrix product with the numerator rows.
+
+    Every partial sum is an exact integer, so both orderings build the
+    same integers in any order and round them once, and their outputs
+    are identical. Other matrices convert band by band with
+    :func:`transform` and sum in ``_block_sum``'s fixed order. No
+    full-size intermediate is ever built. Each band records its
     conversion and filtering counts as it runs them.
     """
     conversion = OpCounter()
@@ -317,26 +339,35 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     cropped = [c[:h, :w] for c in image.channels]
     step = _band_rows(plan, w)
     convert_first = plan.strategy is Strategy.CONVERT_FIRST
-    numerators, (pixel_t, row_t, sum_t), scale, by = _arithmetic(plan)
+    numerators, (_, row_t, sum_t), scale, by = _arithmetic(plan)
     exact = numerators is not None
-    outputs = [np.empty((h // m, w // m)) if f else None for f in plan.channels.flags]
-    requested = [out for out in outputs if out is not None]
+    # the k requested planes, one scale per band writes all of them
+    planes = np.empty((plan.channels.count, h // m, w // m))
+    views = iter(planes)
+    outputs = [next(views) if f else None for f in plan.channels.flags]
     if exact:
         # the k requested rows, in the dtype of the planes they convert
         wanted = [row for row, f in zip(numerators, plan.channels.flags) if f]
-        weights = np.array(wanted, pixel_t if convert_first else sum_t)
+        full_resolution = convert_first or m == 1
+        weights = np.array(wanted, row_t if full_resolution else sum_t)
         # Every band is staged, converted and block-summed in the same
         # buffers, sized for the largest band. Fresh buffers per band made
         # glibc's default malloc trim and re-fault its heap (README,
         # "Benchmark protocol").
         rows_max = min(step, h)
-        n_max = rows_max * w if convert_first else rows_max // m * (w // m)
-        staging = np.empty(3 * n_max, weights.dtype)
-        product = np.empty(len(weights) * n_max, weights.dtype)
+        if full_resolution:
+            # Each numerator is repeated for the M rows of a block, so the
+            # one product that converts a band also adds those rows.
+            weights = np.repeat(weights, m, axis=1)
+            staging = np.empty(3 * rows_max * w, row_t)
+            product = np.empty(len(weights) * rows_max // m * w, row_t)
+        else:
+            staging = np.empty(3 * rows_max // m * (w // m), sum_t)
+            product = np.empty(len(weights) * staging.size // 3, sum_t)
         if m > 1 and convert_first:
-            # the k converted planes are summed at once
-            rows = np.empty(len(weights) * rows_max // m * w, row_t)
-            columns = rows if row_t == sum_t else np.empty(rows.size, sum_t)
+            # the k planes of row sums are summed at once, through a cast
+            # where the block sums need float64 and the row sums do not
+            columns = None if row_t == sum_t else np.empty(product.size, sum_t)
             summed = np.empty(len(weights) * rows_max // m * (w // m), sum_t)
         elif m > 1:
             # one uint8 plane at a time: its row sums are at most 255 M, its
@@ -352,22 +383,17 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         filtering.record(adds=(m * m - 1) * sums.size)
         return sums
 
-    def integer_block_sum(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
-        _integer_block_sum(plane, m, rows, columns, out)
-        filtering.record(adds=(m * m - 1) * out.size)
-        return out
-
     def count_conversion(size: int) -> None:
         n = size * plan.channels.count
         conversion.record(multiplies=3 * n, adds=2 * n)
 
-    def convert(staged: np.ndarray) -> np.ndarray:
-        """Exact path: the requested channels of the (3, n) staged planes, in channel order."""
-        size = staged.shape[1]
+    def convert(staged: np.ndarray, size: int) -> np.ndarray:
+        """Exact path: the weights times the staged planes, for ``size`` converted samples."""
         count_conversion(size)
         # every product and partial sum is an integer exact in the weights'
         # dtype, so neither the order of the sums nor an FMA in BLAS changes a bit
-        return np.matmul(weights, staged, out=product[: len(weights) * size].reshape(-1, size))
+        n = staged.shape[1]
+        return np.matmul(weights, staged, out=product[: len(weights) * n].reshape(-1, n))
 
     for a in range(0, h, step):
         b = a + step
@@ -386,23 +412,32 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
                 converted = transform(*(block_sum(c) for c in rgb), plan.matrix, plan.channels)
                 totals = [p for p in converted if p is not None]
         elif convert_first or m == 1:
-            size = rgb[0].size
-            staged = np.concatenate(rgb, axis=None, out=staging[: 3 * size]).reshape(3, size)
-            band = convert(staged)
+            # staged[c * M + i, j * w + x] is channel c at row j * M + i of
+            # the band, so row j of the product is block row j's row sums
+            r = reduced[0]
+            blocks = [c.reshape(r, m, w).transpose(1, 0, 2) for c in rgb]
+            staged = np.concatenate(blocks, axis=None, out=staging[: 3 * rgb[0].size])
+            band = convert(staged.reshape(3 * m, r * w), rgb[0].size)
             if m > 1:
-                band = integer_block_sum(band.reshape(-1, w), summed[: len(band) * n])
+                band = _column_sums(band, m, columns, summed[: len(band) * n])
+                filtering.record(adds=(m * m - 1) * band.size)
             totals = band.reshape(-1, *reduced)
         else:
             for i, c in enumerate(rgb):
-                integer_block_sum(c, summed[i * n : (i + 1) * n])
+                _integer_block_sum(c, m, rows, columns, summed[i * n : (i + 1) * n])
+                filtering.record(adds=(m * m - 1) * n)
             if summed is not staging:
                 np.copyto(staging[: 3 * n], summed[: 3 * n])
-            totals = convert(staging[: 3 * n].reshape(3, n)).reshape(-1, *reduced)
-        for out, total in zip(requested, totals):
+            totals = convert(staging[: 3 * n].reshape(3, n), n).reshape(-1, *reduced)
+        scaled = planes[:, a // m : b // m]
+        if exact:
             # dtype: a float32 sum divided by a Python float would round in float32
-            scale(total, by, out=out[a // m : b // m], dtype=np.float64)
-            # at M = 1 there is no mean to take; predict_ops counts none
-            filtering.record(multiplies=total.size if m > 1 else 0)
+            scale(totals, by, out=scaled, dtype=np.float64)
+        else:
+            for out, total in zip(scaled, totals):
+                scale(total, by, out=out)
+        # at M = 1 there is no mean to take; predict_ops counts none
+        filtering.record(multiplies=scaled.size if m > 1 else 0)
     return PreprocessedChannels(*outputs, plan=plan, ops=StageOps(conversion, filtering))
 
 

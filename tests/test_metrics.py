@@ -249,6 +249,25 @@ def test_chroma_power_matches_complex_principal_power(bases, weight):
         assert np.all(got == 1.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(min_value=1, max_value=16), elements=st.floats()),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_chroma_power_gathers_the_sign_factor_bit_for_bit(bases, weight):
+    # multiplying every sample by 1.0 or cos(pi*w), gathered by its sign,
+    # gives the bits of multiplying the negative ones alone, NaN and inf
+    # included, with or without a scratch array, and leaves the bases alone
+    before = bases.copy()
+    power = np.abs(bases) ** weight
+    want = np.where(bases < 0, power * np.cos(np.pi * weight), power)
+    for scratch in (None, np.full(bases.shape, np.nan)):
+        got = _chroma_power(bases, weight, scratch)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert before.tobytes() == bases.tobytes()
+
+
 @pytest.mark.parametrize(
     "size, name, channels, expected",
     [

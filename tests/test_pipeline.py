@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqprep import pipeline
 from iqprep.colorspace import (
@@ -468,8 +470,10 @@ def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, n
 def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, width):
     # either ordering rejects such an image before converting or summing
     # anything, with the error block_mean_decimate gives for the whole
-    # plane; the exact path converts without transform, but every band
-    # it converts is block-summed next, by _integer_block_sum at M > 1
+    # plane; the exact path converts without transform, in matrix
+    # products that convert-first's row sums come out of too, and sums
+    # the columns of its blocks in _column_sums (_integer_block_sum
+    # downsample-first)
     spec = DownsampleSpec(4)
     with pytest.raises(ValueError) as whole_plane:
         block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
@@ -486,6 +490,8 @@ def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, wid
     monkeypatch.setattr(pipeline, "transform", recording(transform))
     monkeypatch.setattr(pipeline, "_block_sum", recording(pipeline._block_sum))
     monkeypatch.setattr(pipeline, "_integer_block_sum", recording(pipeline._integer_block_sum))
+    monkeypatch.setattr(pipeline, "_column_sums", recording(pipeline._column_sums))
+    monkeypatch.setattr(np, "matmul", recording(np.matmul))
     for matrix in (builtin_matrix("yiq"), THIRD):
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
             with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
@@ -626,6 +632,40 @@ def test_exact_path_equals_the_int64_oracle_across_bands(factor):
                 result = preprocess(img, matrix, channels, strategy, spec)
                 _assert_planes_equal(result.planes, want, matrix.name, channels, strategy)
                 assert result.ops == result.plan.predicted
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_orderings_equal_the_int64_oracle_on_drawn_images(data):
+    # sizes from one block to three downsample-first bands (so many
+    # convert-first ones), ragged on either axis, at every
+    # factor up to 20: both orderings give the oracle's bits, hence each
+    # other's, and count what they predict
+    factor = data.draw(st.integers(1, 20), label="factor")
+    matrix = data.draw(
+        st.sampled_from([builtin_matrix("yiq"), builtin_matrix("lmn"), IDENTITY_MATRIX, POSITIVE]),
+        label="matrix",
+    )
+    channels = data.draw(st.sampled_from(CHANNEL_SETS), label="channels")
+    spec = DownsampleSpec(factor)
+    width = data.draw(st.integers(factor, 2048), label="width")
+    plan = plan_pipeline(1, width, matrix, ALL, spec, Strategy.DOWNSAMPLE_FIRST)
+    band = pipeline._band_rows(plan, width - width % factor)
+    height = (
+        data.draw(st.integers(0, 2), label="whole bands") * band
+        + data.draw(st.integers(1, band // factor), label="block rows") * factor
+        + data.draw(st.integers(0, factor - 1), label="ragged rows")
+    )
+    img = synth_image(height, width, data.draw(st.integers(0, 2**32), label="seed"))
+    want = _int64_oracle(img, matrix, channels, factor)
+    cf, df = (
+        preprocess(img, matrix, channels, strategy, spec)
+        for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+    )
+    _assert_planes_equal(cf.planes, df.planes)
+    for result in (cf, df):
+        _assert_planes_equal(result.planes, want, result.plan.strategy)
+        assert result.ops == result.plan.predicted
 
 
 @pytest.mark.parametrize("factor", [1, 2])
