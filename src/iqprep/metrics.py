@@ -159,8 +159,8 @@ def _chroma_power(
     # x * 1.0 is x for every x, NaN and inf included. A multiply masked by
     # the signs cost about 10 ns per sample. With the default "raise"
     # mode, take would buffer its out array. The factors are gathered
-    # before the power exists, so take's copy of the indices is freed by
-    # then and the peak stays that of the masked multiply.
+    # before the power is allocated, so take's intp copy of the indices
+    # is never live beside it.
     negative = (product < 0).view(np.uint8)
     factors = np.array([1.0, np.cos(np.pi * weight)]).take(negative, out=scratch, mode="clip")
     power = np.abs(product)
