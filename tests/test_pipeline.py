@@ -638,9 +638,9 @@ def test_exact_path_equals_the_int64_oracle_across_bands(factor):
 @given(st.data())
 def test_exact_orderings_equal_the_int64_oracle_on_drawn_images(data):
     # sizes from one block to three downsample-first bands (so many
-    # convert-first ones), ragged on either axis, at every
-    # factor up to 20: both orderings give the oracle's bits, hence each
-    # other's, and count what they predict
+    # convert-first ones), ragged on either axis, at every factor up to
+    # 20: both orderings give the oracle's bits, hence each other's, and
+    # count what they predict
     factor = data.draw(st.integers(1, 20), label="factor")
     matrix = data.draw(
         st.sampled_from([builtin_matrix("yiq"), builtin_matrix("lmn"), IDENTITY_MATRIX, POSITIVE]),
