@@ -156,11 +156,10 @@ def _chroma_power(
     #
     # Every sample is multiplied by a factor gathered by its sign, 1.0 or
     # cos(pi*w), into ``scratch`` if given (float64, the product's shape);
-    # x * 1.0 is x for every x, NaN and inf included. A multiply masked by
-    # the signs cost about 10 ns per sample. With the default "raise"
-    # mode, take would buffer its out array. The factors are gathered
-    # before the power is allocated, so take's intp copy of the indices
-    # is never live beside it.
+    # x * 1.0 is x for every x, NaN and inf included. With the default
+    # "raise" mode, take would buffer its out array. The factors are
+    # gathered before the power is allocated, so take's intp copy of the
+    # indices is never live beside it.
     negative = (product < 0).view(np.uint8)
     factors = np.array([1.0, np.cos(np.pi * weight)]).take(negative, out=scratch, mode="clip")
     power = np.abs(product)

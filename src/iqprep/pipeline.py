@@ -265,22 +265,21 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
 
 
 def _arithmetic(plan: PipelinePlan) -> tuple:
-    """How :func:`_execute` converts: ``(numerators, (pixel_t, row_t, sum_t), scale, by)``.
+    """How :func:`_execute` converts: ``(numerators, (row_t, sum_t), scale, by)``.
 
     A decimal matrix (see ``ColorMatrix.decimal_form``) takes the exact
     path: its integer numerators, integers held in floats, and
     ``np.divide`` by 10^d * M^2. A converted pixel is at most
     P = 255 * max row |numerators|_1 in magnitude, the sum of a block's
     M pixels in one row at most P * M, and a block sum at most P * M^2.
-    Each is held in float32 (``pixel_t``, ``row_t``, ``sum_t``) while its
-    bound is below 2^24 and in float64 otherwise, so every integer and
-    partial sum is exact. :func:`_execute` converts convert-first's
-    pixels in the product that adds their rows, so it holds them in
-    ``row_t``, which is ``pixel_t`` at M = 1 and never narrower. The
-    block sums and the divisor must stay below 2^53, so that both are
-    exact in float64 and the one division, in float64, is the only
-    rounding. Any other matrix takes the float path: no numerators,
-    float64 throughout and ``np.multiply`` by 1/M^2.
+    Row sums and block sums are held in float32 (``row_t``, ``sum_t``)
+    while their bound is below 2^24 and in float64 otherwise, so every
+    integer and partial sum is exact. Convert-first converts its pixels
+    in the product that adds their rows, so they too are held in
+    ``row_t``. The block sums and the divisor must stay below 2^53, so
+    that both are exact in float64 and the one division, in float64, is
+    the only rounding. Any other matrix takes the float path: no
+    numerators, float64 throughout and ``np.multiply`` by 1/M^2.
     """
     m = plan.spec.factor
     if plan.matrix.decimal_form is not None:
@@ -288,10 +287,10 @@ def _arithmetic(plan: PipelinePlan) -> tuple:
         pixel = 255 * max(sum(map(abs, row)) for row in numerators)
         divisor = 10**d * m * m
         if max(pixel * m * m, divisor) < 1 << 53:
-            bounds = (pixel, pixel * m, pixel * m * m)
+            bounds = (pixel * m, pixel * m * m)
             dtypes = tuple(np.float32 if n < 1 << 24 else np.float64 for n in bounds)
             return numerators, dtypes, np.divide, float(divisor)
-    return None, (np.float64,) * 3, np.multiply, 1.0 / (m * m)
+    return None, (np.float64,) * 2, np.multiply, 1.0 / (m * m)
 
 
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
@@ -305,10 +304,10 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     Convert-first converts the band and block-sums the k converted
     planes; downsample-first block-sums the three uint8 RGB planes and
     converts the sums; at M = 1 a block sum is the sample itself. The
-    requested planes of sums are then scaled, in float64, into their
-    output rows of one (k, h/M, w/M) array, whose views the result holds.
-    For a decimal matrix all of this runs on integers held in floats (see
-    :func:`_arithmetic`), and the scale is one call per band:
+    requested planes of sums are then scaled, in float64 and one call per
+    band, into their output rows of one (k, h/M, w/M) array, whose views
+    the result holds. For a decimal matrix all of this runs on integers
+    held in floats (see :func:`_arithmetic`):
 
     * convert-first stages the band's three planes in one (3M, rows/M *
       w) array whose row c * M + i holds row i of every block row of
@@ -339,7 +338,7 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     cropped = [c[:h, :w] for c in image.channels]
     step = _band_rows(plan, w)
     convert_first = plan.strategy is Strategy.CONVERT_FIRST
-    numerators, (_, row_t, sum_t), scale, by = _arithmetic(plan)
+    numerators, (row_t, sum_t), scale, by = _arithmetic(plan)
     exact = numerators is not None
     # the k requested planes, one scale per band writes all of them
     planes = np.empty((plan.channels.count, h // m, w // m))
@@ -430,12 +429,8 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
                 np.copyto(staging[: 3 * n], summed[: 3 * n])
             totals = convert(staging[: 3 * n].reshape(3, n), n).reshape(-1, *reduced)
         scaled = planes[:, a // m : b // m]
-        if exact:
-            # dtype: a float32 sum divided by a Python float would round in float32
-            scale(totals, by, out=scaled, dtype=np.float64)
-        else:
-            for out, total in zip(scaled, totals):
-                scale(total, by, out=out)
+        # dtype: a float32 sum divided by a Python float would round in float32
+        scale(totals, by, out=scaled, dtype=np.float64)
         # at M = 1 there is no mean to take; predict_ops counts none
         filtering.record(multiplies=scaled.size if m > 1 else 0)
     return PreprocessedChannels(*outputs, plan=plan, ops=StageOps(conversion, filtering))

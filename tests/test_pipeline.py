@@ -553,32 +553,35 @@ F32, F64 = np.float32, np.float64
 @pytest.mark.parametrize(
     "name, factor, dtypes",
     [
-        ("yiq", 7, (F32, F32, F32)),  # 255 * 1192 * 7^2 < 2^24
-        ("yiq", 8, (F32, F32, F64)),
-        ("positive", 4, (F32, F32, F32)),
-        ("positive", 5, (F32, F32, F64)),
-        ("positive", 21, (F32, F32, F64)),
-        ("positive", 22, (F32, F64, F64)),
-        ("fine", 1, (F64, F64, F64)),
-        ("fine", 2, (F64, F64, F64)),
+        # the dtypes of a row sum and a block sum; these ids also name
+        # the dtype a converted pixel had before convert-first held its
+        # pixels in the row sums' dtype (the fine matrix's pixels, past
+        # 2^24, were float64)
+        pytest.param("yiq", 7, (F32, F32), id="yiq-7-32-32-32"),  # 255 * 1192 * 7^2 < 2^24
+        pytest.param("yiq", 8, (F32, F64), id="yiq-8-32-32-64"),
+        pytest.param("positive", 4, (F32, F32), id="positive-4-32-32-32"),
+        pytest.param("positive", 5, (F32, F64), id="positive-5-32-32-64"),
+        pytest.param("positive", 21, (F32, F64), id="positive-21-32-32-64"),
+        pytest.param("positive", 22, (F64, F64), id="positive-22-32-64-64"),
+        pytest.param("fine", 1, (F64, F64), id="fine-1-64-64-64"),
+        pytest.param("fine", 2, (F64, F64), id="fine-2-64-64-64"),
         # the integer edges: RGB block sums at M = 16/17, and where an
         # int32 block sum, the exact path's earlier accumulator, would
         # have overflowed (named in the ids); the float sums must stay
         # exact across them too
-        pytest.param("yiq", 16, (F32, F32, F64), id="yiq-16-int32"),  # RGB sums fit uint16
-        pytest.param("yiq", 17, (F32, F32, F64), id="yiq-17-int32"),  # RGB sums need uint32
-        pytest.param("yiq", 84, (F32, F64, F64), id="yiq-84-int32"),  # 255 * 1192 * 84^2 < 2^31
-        pytest.param("yiq", 85, (F32, F64, F64), id="yiq-85-int64"),
-        pytest.param("positive", 53, (F32, F64, F64), id="positive-53-int32"),
-        pytest.param("positive", 54, (F32, F64, F64), id="positive-54-int64"),
+        pytest.param("yiq", 16, (F32, F64), id="yiq-16-int32"),  # RGB sums fit uint16
+        pytest.param("yiq", 17, (F32, F64), id="yiq-17-int32"),  # RGB sums need uint32
+        pytest.param("yiq", 84, (F64, F64), id="yiq-84-int32"),  # 255 * 1192 * 84^2 < 2^31
+        pytest.param("yiq", 85, (F64, F64), id="yiq-85-int64"),
+        pytest.param("positive", 53, (F64, F64), id="positive-53-int32"),
+        pytest.param("positive", 54, (F64, F64), id="positive-54-int64"),
         # the edges of _integer_block_sum's downsample-first types: an
         # RGB block sum 255 * M^2 stays below 2^24, so exact in a float32
         # operand, up to M = 256; a row sum 255 * M fits uint16 up to 257
-        pytest.param("yiq", 256, (F32, F64, F64), id="yiq-256-f32-uint16"),
-        pytest.param("yiq", 257, (F32, F64, F64), id="yiq-257-f64-uint16"),
-        pytest.param("yiq", 258, (F32, F64, F64), id="yiq-258-f64-uint32"),
+        pytest.param("yiq", 256, (F64, F64), id="yiq-256-f32-uint16"),
+        pytest.param("yiq", 257, (F64, F64), id="yiq-257-f64-uint16"),
+        pytest.param("yiq", 258, (F64, F64), id="yiq-258-f64-uint32"),
     ],
-    ids=lambda v: "-".join(t.__name__[5:] for t in v) if isinstance(v, tuple) else None,
 )
 @pytest.mark.parametrize("fill", [(255, 255, 255), (0, 255, 255)], ids=["white", "cyan"])
 def test_exact_path_at_accumulator_edges(name, factor, dtypes, fill):
@@ -675,7 +678,7 @@ def test_exact_scale_divides_in_float64(factor):
     img = _filled(factor, factor, (1, 0, 0))
     for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
         result = preprocess(img, builtin_matrix("yiq"), LUMA, strategy, DownsampleSpec(factor))
-        assert pipeline._arithmetic(result.plan)[1][2] is np.float32
+        assert pipeline._arithmetic(result.plan)[1][1] is np.float32
         assert result.luma.dtype == np.float64
         assert result.luma[0, 0] == 0.299 != float(np.float32(0.299))
 
@@ -708,7 +711,7 @@ def test_float_path_without_an_exact_form():
         for matrix, dtype, scale in cases:
             plan = plan_pipeline(16, 12, matrix, ALL, DownsampleSpec(factor))
             _, dtypes, got_scale, _ = pipeline._arithmetic(plan)
-            assert (dtypes, got_scale) == ((dtype,) * 3, scale), (matrix.name, factor)
+            assert (dtypes, got_scale) == ((dtype,) * 2, scale), (matrix.name, factor)
 
 
 def test_impossible_tolerance_fails_on_the_float_path():
