@@ -5,10 +5,10 @@ Convert-first versus downsample-first
 The conventional front-end converts color at full resolution and then
 reduces each converted channel. Running the reduction first and
 converting the small RGB planes afterwards produces the same channels,
-and therefore the same metric scores. For the built-in matrices, whose
-coefficients are short decimals, both orderings sum integers and divide
-once, so the channels are bit-identical; any other matrix agrees up to
-floating-point reassociation.
+and therefore the same metric scores. Both orderings sum integers for
+every matrix (for the built-in ones, whose coefficients are short
+decimals, integer numerators over 10^d; for any other, two fixed-point
+limbs of integer numerators), so the channels are bit-identical.
 """
 
 from iqprep import (

@@ -11,12 +11,12 @@ Per output channel the evaluation order of :func:`transform` is fixed as
 for bit in the common case. Input planes may be uint8 or float; each
 product is formed in float64 straight from the input, so 8-bit planes
 give the same bits as their float64 casts without a full-resolution
-float copy of them. The pipeline calls :func:`transform` band by band
-only for a matrix without a decimal form. For a matrix of decimals
-(:attr:`ColorMatrix.decimal_form`: both built-ins and the identity) it
-converts exactly instead: one matrix product of the integer numerators
-and the band's planes, on integers held in float32 or float64, where the
-order of the sums cannot change a bit.
+float copy of them. The pipeline does not call :func:`transform`: it
+converts each band in one matrix product of integer numerators and the
+band's planes, held in float32 or float64, where the order of the sums
+cannot change a bit. A matrix of decimals (:attr:`ColorMatrix.decimal_form`:
+both built-ins and the identity) gives those numerators directly; any
+other is split into two fixed-point limbs (``iqprep.pipeline._arithmetic``).
 """
 
 from __future__ import annotations

@@ -4,8 +4,6 @@ Two implementations of the same reduction are kept on purpose:
 
 * :func:`block_mean_decimate` averages each M x M block directly at the
   retained output positions, one pass, no full-resolution intermediate.
-  The pipeline calls its block sum, ``_block_sum``, band by band for a
-  matrix without a decimal form.
 * :func:`separate_filter_then_decimate` is the literal two-stage form:
   filter the full grid with uniform 1/M^2 weights, then sample the
   filtered image at stride M from the origin. It exists as an
@@ -21,12 +19,11 @@ for bit, not merely within tolerance. 8-bit planes are summed in
 integers, where every partial sum is exact, so the result equals the
 float64 path on the same values bit for bit as well.
 
-``_integer_block_sum`` is the pipeline's kernel for integer-valued
-uint8 planes (a decimal matrix's exact path, downsample-first): one
-reduction of the M rows of each block, then ``_column_sums``, one
-matrix product of those row sums with M ones. Convert-first's
-conversion product adds the rows itself and calls ``_column_sums``
-alone. Their partial sums are exact integers, so the order in which the
+``_integer_block_sum`` is the pipeline's downsample-first kernel for
+the uint8 planes, whatever the matrix: one reduction of the M rows of
+each block, then ``_column_sums``, one matrix product of those row sums
+with M ones. Convert-first's conversion product adds the rows itself
+and calls ``_column_sums`` alone. Their partial sums are exact integers, so the order in which the
 reduction and BLAS add them cannot change a bit, and no order is fixed
 for them.
 
@@ -134,24 +131,20 @@ def block_mean_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:
     return np.multiply(_block_sum(p, m), 1.0 / (m * m), dtype=np.float64)
 
 
-def _block_sum(
-    plane: np.ndarray, m: int, dtype: type | None = None, row_dtype: type | None = None
-) -> np.ndarray:
+def _block_sum(plane: np.ndarray, m: int) -> np.ndarray:
     """Sums of the whole M x M blocks of a 2-D plane at least M x M, for M >= 2.
 
     Trailing rows and columns that fill no block are dropped. The M rows
     of each block are added first, over contiguous full-width rows
-    (M(M-1) adds per output sample), accumulating in ``row_dtype``; then
-    the M columns of the M-times narrower row sums (M-1 adds), in
-    ``dtype``. ``row_dtype`` defaults to ``dtype``, and ``dtype`` to the
-    smallest unsigned type that holds M^2 * 255 for uint8 planes, so
-    every partial sum is exact, and to the plane's own dtype for others.
+    (M(M-1) adds per output sample), then the M columns of the M-times
+    narrower row sums (M-1 adds), in the smallest unsigned type that
+    holds M^2 * 255 for uint8 planes, so every partial sum is exact, and
+    in the plane's own dtype for others.
     """
     h, w = plane.shape
     trimmed = plane[: h - h % m, : w - w % m]
-    if dtype is None:
-        dtype = np.min_scalar_type(m * m * 255) if plane.dtype == np.uint8 else plane.dtype
-    cols = np.add(trimmed[0::m], trimmed[1::m], dtype=row_dtype or dtype)
+    dtype = np.min_scalar_type(m * m * 255) if plane.dtype == np.uint8 else plane.dtype
+    cols = np.add(trimmed[0::m], trimmed[1::m], dtype=dtype)
     for k in range(2, m):
         cols += trimmed[k::m]
     acc = np.add(cols[:, 0::m], cols[:, 1::m], dtype=dtype)

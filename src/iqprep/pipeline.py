@@ -16,26 +16,27 @@ fewer pixels. When fewer than three channels are needed, convert-first
 filters fewer planes instead, which is why the selector keys on the
 channel count.
 
-For a matrix of decimals (both built-ins, and the identity) both
-orderings sum integers and divide once, so they commute exactly: their
-outputs are bit-identical and each sample is its exact value rounded
-once. The integers are held in float32 while they stay below 2^24 and
-in float64 above. Convert-first stages a band's three planes as the M
-rows of its blocks and multiplies them by the numerators, each repeated
-M times, so one matrix product converts every sample and adds the M
-rows of each block; one more product with M ones adds the columns.
-Downsample-first adds the M rows of each block of a uint8 plane in one
-reduction and the columns in the same product with M ones, and converts
-the three planes of sums in one product. Every partial sum is an exact
-integer, so no order of the sums changes a bit. Other matrices run in
-float64, in ``transform``'s and ``_block_sum``'s fixed orders, where
-the orderings agree up to floating-point reassociation.
+Both orderings sum integers, so they commute exactly: their outputs
+are bit-identical for every matrix. A matrix of decimals (both
+built-ins, and the identity) is converted with its integer numerators
+and divided once, so each sample is its exact value rounded once. Any
+other matrix is split into two fixed-point limbs of integer numerators,
+each sample rounded once more where the limbs' sums are added (README,
+"Tolerances", gives the error bound). The integers are held in float32
+while they stay below 2^24 and in float64 above. Convert-first stages a
+band's three planes as the M rows of its blocks and multiplies them by
+the numerators, each repeated M times, so one matrix product converts
+every sample and adds the M rows of each block; one more product with M
+ones adds the columns. Downsample-first adds the M rows of each block of
+a uint8 plane in one reduction and the columns in the same product with
+M ones, and converts the three planes of sums in one product. Every
+partial sum is an exact integer, so no order of the sums changes a bit.
 
 Both orderings run in row bands of whole M x M blocks. A convert-first
 band (about 2^16 samples) is converted and then reduced while its planes
 are still in cache; a downsample-first band (about 2^14 reduced samples,
 fewer from M = 5 up) is block-summed from the uint8 channels and then
-converted. No full-size intermediate is built on either path, and each
+converted. No full-size intermediate is built in either ordering, and each
 output sample gets the bits it gets from whole-plane calls.
 
 This module holds the package's one op model: :func:`_execute` counts
@@ -55,13 +56,11 @@ from enum import Enum
 
 import numpy as np
 
+# perfbench's traced run wraps transform and block_mean_decimate on this
+# module, so both stay attributes of it although _execute calls neither.
 from iqprep.colorspace import ChannelSet, ColorMatrix, transform
-# perfbench's traced run wraps block_mean_decimate on this module, so it
-# stays an attribute of it although _execute sums with _column_sums and
-# _integer_block_sum (decimal matrices) and _block_sum (others).
 from iqprep.downsample import (
     DownsampleSpec,
-    _block_sum,
     _column_sums,
     _integer_block_sum,
     block_mean_decimate,
@@ -264,33 +263,60 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
     return m * max(1, samples // (m * width))
 
 
-def _arithmetic(plan: PipelinePlan) -> tuple:
-    """How :func:`_execute` converts: ``(numerators, (row_t, sum_t), scale, by)``.
+def _limb(x: np.ndarray, room: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rint(x * 2^e), e)``, e = room - q for each row's norm below 2^q.
 
-    A decimal matrix (see ``ColorMatrix.decimal_form``) takes the exact
-    path: its integer numerators, integers held in floats, and
-    ``np.divide`` by 10^d * M^2. A converted pixel is at most
-    P = 255 * max row |numerators|_1 in magnitude, the sum of a block's
-    M pixels in one row at most P * M, and a block sum at most P * M^2.
-    Row sums and block sums are held in float32 (``row_t``, ``sum_t``)
-    while their bound is below 2^24 and in float64 otherwise, so every
-    integer and partial sum is exact. Convert-first converts its pixels
-    in the product that adds their rows, so they too are held in
-    ``row_t``. The block sums and the divisor must stay below 2^53, so
-    that both are exact in float64 and the one division, in float64, is
-    the only rounding. Any other matrix takes the float path: no
-    numerators, float64 throughout and ``np.multiply`` by 1/M^2.
+    Each row's |numerators|_1 is then at most 2^room + 2, roundings included.
+    """
+    # a quarter of each norm, so that rows of 1e308 do not overflow
+    quarters = np.ldexp(np.abs(x), -2).sum(axis=1)
+    e = room - 2 - np.frexp(quarters)[1]
+    return np.rint(np.ldexp(x, e[:, None])), e
+
+
+def _arithmetic(plan: PipelinePlan) -> tuple:
+    """How :func:`_execute` converts: ``(numerators, (row_t, sum_t), shifts, divisor, exponent)``.
+
+    Let S be a numerator row's weighted sum of a block's pixels. A
+    decimal matrix (``ColorMatrix.decimal_form``) is one limb: its
+    integer numerators, no shifts, the divisor 10^d * M^2 and no
+    exponent, so a sample is S / (10^d M^2). Any other matrix, and a
+    decimal one whose block sums or divisor would pass 2^53, is split
+    into two fixed-point limbs, hi = rint(c * 2^s) and
+    lo = rint((c - hi * 2^-s) * 2^t), each row of each limb at the
+    largest exponent that its own norm allows (:func:`_limb`). Its
+    numerators are the three hi rows and the three lo rows, shifts is
+    (s - t,) and exponent (-s,), per row, and the divisor M^2: a sample
+    is ldexp((S_hi + ldexp(S_lo, s - t)) / M^2, -s). The 2^-s goes on
+    after the division, because 2^s * M^2 overflows for a matrix of 1e-300.
+
+    A converted pixel is at most P = 255 * max row |numerators|_1 in
+    magnitude, the sum of a block's M pixels in one row at most P * M,
+    and a block sum at most P * M^2. Row sums and block sums are held in
+    float32 (``row_t``, ``sum_t``) while their bound is below 2^24 and in
+    float64 otherwise, so every integer and partial sum is exact.
+    Convert-first converts its pixels in the product that adds their
+    rows, so they too are held in ``row_t``. Block sums and divisor stay
+    below 2^53, exact in float64: the division is a decimal matrix's one
+    rounding, and a limbed matrix rounds once more adding its limbs.
     """
     m = plan.spec.factor
-    if plan.matrix.decimal_form is not None:
-        numerators, d = plan.matrix.decimal_form
-        pixel = 255 * max(sum(map(abs, row)) for row in numerators)
-        divisor = 10**d * m * m
-        if max(pixel * m * m, divisor) < 1 << 53:
-            bounds = (pixel * m, pixel * m * m)
-            dtypes = tuple(np.float32 if n < 1 << 24 else np.float64 for n in bounds)
-            return numerators, dtypes, np.divide, float(divisor)
-    return None, (np.float64,) * 2, np.multiply, 1.0 / (m * m)
+
+    def peak(rows) -> float:
+        return 255 * max(sum(map(abs, row)) for row in rows)
+
+    form = plan.matrix.decimal_form
+    if form is not None:
+        numerators, shifts, divisor, exponent = form[0], (), 10 ** form[1] * m * m, ()
+    if form is None or max(peak(numerators) * m * m, divisor) >= 1 << 53:
+        # peak * M^2 stays below 2^53 for rows of |numerators|_1 <= 2^room + 2
+        room = 52 - (255 * m * m).bit_length()
+        hi, s = _limb(plan.matrix.coefficients, room)
+        lo, u = _limb(np.ldexp(plan.matrix.coefficients, s[:, None]) - hi, room)  # t = s + u
+        numerators, shifts, divisor, exponent = [*hi, *lo], (-u,), m * m, (-s,)
+    pixel = peak(numerators)
+    dtypes = tuple(np.float32 if n < 1 << 24 else np.float64 for n in (pixel * m, pixel * m * m))
+    return numerators, dtypes, shifts, float(divisor), exponent
 
 
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
@@ -301,35 +327,32 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     of its ``(h - h % M) x (w - w % M)`` whole blocks, and both orderings
     work one band of whole block rows at a time (see :func:`_band_rows`).
 
-    Convert-first converts the band and block-sums the k converted
-    planes; downsample-first block-sums the three uint8 RGB planes and
-    converts the sums; at M = 1 a block sum is the sample itself. The
-    requested planes of sums are then scaled, in float64 and one call per
-    band, into their output rows of one (k, h/M, w/M) array, whose views
-    the result holds. For a decimal matrix all of this runs on integers
-    held in floats (see :func:`_arithmetic`):
+    Both orderings run on integers held in floats (:func:`_arithmetic`),
+    with the requested numerator rows of each limb: k for a decimal
+    matrix, 2k for a limbed one.
 
     * convert-first stages the band's three planes in one (3M, rows/M *
       w) array whose row c * M + i holds row i of every block row of
-      channel c. The k requested numerator rows, each coefficient
-      repeated M times, multiply it in one matrix product, which
-      converts every sample and adds the M rows of each block, so its
-      output is the k planes of row sums. ``_column_sums`` adds their M
-      columns in one more product, with M ones;
+      channel c. The numerator rows, each coefficient repeated M times,
+      multiply it in one matrix product, which converts every sample and
+      adds the M rows of each block, so its output is the planes of row
+      sums. ``_column_sums`` adds their M columns in one more product,
+      with M ones. At M = 1 the product is the conversion alone, and
+      downsample-first runs it too;
     * downsample-first block-sums each uint8 plane with
       ``_integer_block_sum`` (one reduction of the M rows of each block,
       then ``_column_sums``) and converts the three planes of sums in one
       matrix product with the numerator rows.
 
     Every partial sum is an exact integer, so both orderings build the
-    same integers in any order and round them once, and their outputs
-    are identical. Other matrices convert band by band with
-    :func:`transform` and sum in ``_block_sum``'s fixed order. No
+    same integers in any order. Both then add a second limb's planes,
+    shifted, to the first's and scale the k requested planes, in float64
+    and one call per band, into their rows of one (k, h/M, w/M) array,
+    whose views the result holds; so their outputs are identical. No
     full-size intermediate is ever built. Each band records its
     conversion and filtering counts as it runs them.
     """
-    conversion = OpCounter()
-    filtering = OpCounter()
+    conversion, filtering = OpCounter(), OpCounter()
     m = plan.spec.factor
     h, w = image.height, image.width
     if h < m or w < m:
@@ -337,58 +360,47 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     h, w = h - h % m, w - w % m
     cropped = [c[:h, :w] for c in image.channels]
     step = _band_rows(plan, w)
-    convert_first = plan.strategy is Strategy.CONVERT_FIRST
-    numerators, (row_t, sum_t), scale, by = _arithmetic(plan)
-    exact = numerators is not None
+    k = plan.channels.count
+    numerators, (row_t, sum_t), shifts, divisor, exponent = _arithmetic(plan)
     # the k requested planes, one scale per band writes all of them
-    planes = np.empty((plan.channels.count, h // m, w // m))
+    planes = np.empty((k, h // m, w // m))
     views = iter(planes)
     outputs = [next(views) if f else None for f in plan.channels.flags]
-    if exact:
-        # the k requested rows, in the dtype of the planes they convert
-        wanted = [row for row, f in zip(numerators, plan.channels.flags) if f]
-        full_resolution = convert_first or m == 1
-        weights = np.array(wanted, row_t if full_resolution else sum_t)
-        # Every band is staged, converted and block-summed in the same
-        # buffers, sized for the largest band. Fresh buffers per band made
-        # glibc's default malloc trim and re-fault its heap (README,
-        # "Benchmark protocol").
-        rows_max = min(step, h)
-        if full_resolution:
-            # Each numerator is repeated for the M rows of a block, so the
-            # one product that converts a band also adds those rows.
-            weights = np.repeat(weights, m, axis=1)
-            staging = np.empty(3 * rows_max * w, row_t)
-            product = np.empty(len(weights) * rows_max // m * w, row_t)
-        else:
-            staging = np.empty(3 * rows_max // m * (w // m), sum_t)
-            product = np.empty(len(weights) * staging.size // 3, sum_t)
-        if m > 1 and convert_first:
-            # the k planes of row sums are summed at once, through a cast
+    # the k requested rows of each limb, in the dtype of the planes they
+    # convert, and each requested row's shifts and exponent for its plane
+    flags = list(plan.channels.flags)
+    wanted = [row for i, row in enumerate(numerators) if flags[i % 3]]
+    shifts = [np.reshape(x, (3, 1, 1))[flags] for x in shifts]
+    exponent = [np.reshape(x, (3, 1, 1))[flags] for x in exponent]
+    full_resolution = plan.strategy is Strategy.CONVERT_FIRST or m == 1
+    weights = np.array(wanted, row_t if full_resolution else sum_t)
+    # Every band is staged, converted and block-summed in the same buffers, sized
+    # for the largest band. Fresh buffers per band made glibc's default malloc
+    # trim and re-fault its heap (README, "Benchmark protocol").
+    rows_max = min(step, h)
+    if full_resolution:
+        # Each numerator is repeated for the M rows of a block, so the
+        # one product that converts a band also adds those rows.
+        weights = np.repeat(weights, m, axis=1)
+        staging = np.empty(3 * rows_max * w, row_t)
+        product = np.empty(len(weights) * rows_max // m * w, row_t)
+        if m > 1:
+            # the planes of row sums are summed at once, through a cast
             # where the block sums need float64 and the row sums do not
             columns = None if row_t == sum_t else np.empty(product.size, sum_t)
             summed = np.empty(len(weights) * rows_max // m * (w // m), sum_t)
-        elif m > 1:
-            # one uint8 plane at a time: its row sums are at most 255 M, its
-            # block sums 255 M^2, held in float32 below 2^24
-            rows = np.empty(rows_max // m * w, np.min_scalar_type(255 * m))
-            columns = np.empty(rows.size, np.float32 if 255 * m * m < 1 << 24 else np.float64)
-            summed = staging if columns.dtype == sum_t else np.empty(staging.size, columns.dtype)
-
-    def block_sum(plane: np.ndarray, *dtypes: type) -> np.ndarray:
-        if m == 1:
-            return plane
-        sums = _block_sum(plane, m, *dtypes)
-        filtering.record(adds=(m * m - 1) * sums.size)
-        return sums
-
-    def count_conversion(size: int) -> None:
-        n = size * plan.channels.count
-        conversion.record(multiplies=3 * n, adds=2 * n)
+    else:
+        staging = np.empty(3 * rows_max // m * (w // m), sum_t)
+        product = np.empty(len(weights) * staging.size // 3, sum_t)
+        # one uint8 plane at a time: its row sums are at most 255 M, its
+        # block sums 255 M^2, held in float32 below 2^24
+        rows = np.empty(rows_max // m * w, np.min_scalar_type(255 * m))
+        columns = np.empty(rows.size, np.float32 if 255 * m * m < 1 << 24 else np.float64)
+        summed = staging if columns.dtype == sum_t else np.empty(staging.size, columns.dtype)
 
     def convert(staged: np.ndarray, size: int) -> np.ndarray:
-        """Exact path: the weights times the staged planes, for ``size`` converted samples."""
-        count_conversion(size)
+        """The weights times the staged planes, for ``size`` converted samples."""
+        conversion.record(multiplies=3 * k * size, adds=2 * k * size)
         # every product and partial sum is an integer exact in the weights'
         # dtype, so neither the order of the sums nor an FMA in BLAS changes a bit
         n = staged.shape[1]
@@ -399,18 +411,7 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         rgb = [c[a:b] for c in cropped]
         reduced = (rgb[0].shape[0] // m, w // m)
         n = reduced[0] * reduced[1]
-        if not exact:
-            count_conversion(rgb[0].size if convert_first else n)
-            if convert_first:
-                # The band stays alive until the next one replaces it. Freeing
-                # it first made glibc's default malloc trim and re-fault its
-                # heap on every band (README, "Benchmark protocol").
-                band = transform(*rgb, plan.matrix, plan.channels)
-                totals = [block_sum(p, sum_t, row_t) for p in band if p is not None]
-            else:
-                converted = transform(*(block_sum(c) for c in rgb), plan.matrix, plan.channels)
-                totals = [p for p in converted if p is not None]
-        elif convert_first or m == 1:
+        if full_resolution:
             # staged[c * M + i, j * w + x] is channel c at row j * M + i of
             # the band, so row j of the product is block row j's row sums
             r = reduced[0]
@@ -419,7 +420,7 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
             band = convert(staged.reshape(3 * m, r * w), rgb[0].size)
             if m > 1:
                 band = _column_sums(band, m, columns, summed[: len(band) * n])
-                filtering.record(adds=(m * m - 1) * band.size)
+                filtering.record(adds=(m * m - 1) * k * n)
             totals = band.reshape(-1, *reduced)
         else:
             for i, c in enumerate(rgb):
@@ -428,9 +429,15 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
             if summed is not staging:
                 np.copyto(staging[: 3 * n], summed[: 3 * n])
             totals = convert(staging[: 3 * n].reshape(3, n), n).reshape(-1, *reduced)
+        # no iteration here or below for a decimal matrix: one limb, no exponent
+        for i, shift in enumerate(shifts, 1):
+            low = totals[i * k : (i + 1) * k]
+            totals[:k] += np.ldexp(low, shift, out=low)
         scaled = planes[:, a // m : b // m]
         # dtype: a float32 sum divided by a Python float would round in float32
-        scale(totals, by, out=scaled, dtype=np.float64)
+        np.divide(totals[:k], divisor, out=scaled, dtype=np.float64)
+        for e in exponent:
+            np.ldexp(scaled, e, out=scaled)
         # at M = 1 there is no mean to take; predict_ops counts none
         filtering.record(multiplies=scaled.size if m > 1 else 0)
     return PreprocessedChannels(*outputs, plan=plan, ops=StageOps(conversion, filtering))
@@ -519,10 +526,10 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Run both orderings and report the largest per-sample difference.
 
-    A decimal matrix gives a difference of exactly 0. On the float path,
-    the default tolerance of 1e-9 absolute covers the reassociation noise
-    of up to 64-term block sums on 0..255 inputs with coefficients of
-    order one; it is configurable for adversarial matrices.
+    Both orderings give the same bits for every matrix, so the difference
+    is exactly 0, unless a sample overflows to inf on both sides, which
+    leaves NaN and fails. The default tolerance of 1e-9 absolute is
+    acceptance criterion c1's.
     """
     within = tolerance_rule(tolerance)
     pair = (

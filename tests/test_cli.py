@@ -35,10 +35,10 @@ def test_verify_seed42_384x512_yiq(capsys):
 
 
 def test_verify_impossible_tolerance_fails(capsys):
-    # verify offers only decimal matrices, whose orderings both run on
-    # integers, so even 1e-18 passes with nothing to spare; an impossible
-    # tolerance still fails on the float path
-    # (test_pipeline.py::test_impossible_tolerance_fails_on_the_float_path)
+    # both orderings run on integers for every matrix, so even 1e-18
+    # passes with nothing to spare, as the smallest float does without a
+    # decimal form
+    # (test_pipeline.py::test_impossible_tolerance_passes_without_a_decimal_form)
     code, out, err = run_cli(
         capsys, "verify", "--size", "384x384", "--seed", "1", "--matrix", "yiq", "--tol", "1e-18"
     )

@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -329,10 +331,10 @@ def test_channel_differences_takes_the_worst_pair_per_channel():
 
 
 def test_nan_differences_reach_the_report_and_fail_it():
-    # 1e308 * R overflows, and inf - inf leaves NaN in most luma samples
-    big = ColorMatrix("big", [[1e308, -1e308, 1e308], [1, 0, 0], [0, 1, 0]])
+    # BIG's luma overflows to the same inf in both orderings, and inf - inf
+    # leaves NaN in most luma samples
     with np.errstate(over="ignore", invalid="ignore"):
-        report = verify_equivalence(synth_image(64, 64, 1), big)
+        report = verify_equivalence(synth_image(64, 64, 1), BIG)
     assert np.isnan(report.per_channel["luma"])
     assert np.isnan(report.max_abs_diff)
     assert not report.passed
@@ -384,29 +386,6 @@ def _exact_oracle(img, matrix, channels, m):
     ]
 
 
-def _float_composition(img, matrix, channels, spec, strategy):
-    """The float path of either ordering, spelled out stage by stage on float64 planes.
-
-    Convert-first is ``transform`` then ``block_mean_decimate``;
-    downsample-first converts the exact RGB block sums and scales each
-    requested plane by 1/M^2.
-    """
-    m = spec.factor
-    planes = _float_planes(img)
-    if strategy is Strategy.CONVERT_FIRST:
-        converted = transform(*planes, matrix, channels)
-        return [None if p is None else block_mean_decimate(p, spec) for p in converted]
-    h, w = img.height - img.height % m, img.width - img.width % m
-    sums = [p[:h, :w].reshape(h // m, m, w // m, m).sum(axis=(1, 3)) for p in planes]
-    return [None if p is None else p * (1.0 / (m * m)) for p in transform(*sums, matrix, channels)]
-
-
-def _expected_planes(img, matrix, channels, spec, strategy):
-    if matrix.decimal_form is not None:
-        return _exact_oracle(img, matrix, channels, spec.factor)
-    return _float_composition(img, matrix, channels, spec, strategy)
-
-
 def _assert_planes_equal(got_planes, want_planes, *context):
     for got, want in zip(got_planes, want_planes):
         assert (got is None) == (want is None)
@@ -417,26 +396,114 @@ def _assert_planes_equal(got_planes, want_planes, *context):
 
 # no decimal form: every entry of the first row is 1/3
 THIRD = ColorMatrix("third", [[1 / 3, 1 / 3, 1 / 3], [0.5, -1 / 3, -1 / 6], [1 / 7, 2 / 7, -3 / 7]])
+# decimal at d = 0, but its block sums would pass 2^53; 1e308 * (R - G + B)
+# overflows to inf wherever R - G + B reaches 2
+BIG = ColorMatrix("big", [[1e308, -1e308, 1e308], [1, 0, 0], [0, 1, 0]])
+# Higham's gamma_2: two roundings, each by a relative 2^-53 at most
+GAMMA_2 = Fraction(2, 2**53 - 2)
+
+
+def _exact_means(img, matrix, m):
+    """Per matrix row, the exact block means of its stored coefficients as ``(N, D)``.
+
+    A mean is N / D, N an object array of Python integers and D an
+    integer: each coefficient is an integer over a power of two.
+    """
+    h, w = img.height // m, img.width // m
+    sums = [
+        c[: h * m, : w * m].reshape(h, m, w, m).sum(axis=(1, 3), dtype=np.int64).astype(object)
+        for c in img.channels
+    ]
+    means = []
+    for row in matrix.coefficients:
+        ratios = [float(c).as_integer_ratio() for c in row]
+        den = max(d for _, d in ratios)
+        means.append((sum(n * (den // d) * s for (n, d), s in zip(ratios, sums)), den * m * m))
+    return means
+
+
+def _represented(plan):
+    """The coefficients that the pipeline's integers stand for, as exact Fractions.
+
+    A decimal matrix's numerators over 10^d; a limbed matrix's
+    (hi + lo * 2^(s - t)) * 2^-s, row by row.
+    """
+    numerators, _, shifts, divisor, exponent = pipeline._arithmetic(plan)
+    scale = Fraction(plan.spec.factor**2) / Fraction(divisor)
+    return [
+        [
+            sum(
+                Fraction(int(numerators[3 * limb + i][j])) * Fraction(2) ** int(shift[i])
+                for limb, shift in enumerate([(0,) * 3, *shifts])
+            )
+            * scale
+            * Fraction(2) ** sum(int(e[i]) for e in exponent)
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+def _bounds(plan):
+    """Per matrix row c, 255 * (gamma_2 |c_hat|_1 + |c - c_hat|_1), c_hat as represented.
+
+    The mean of 0..255 samples weighted by c_hat is at most 255 |c_hat|_1
+    and is rounded at most twice (README, "Tolerances").
+    """
+    return [
+        255 * sum(GAMMA_2 * abs(h) + abs(Fraction(c) - h) for c, h in zip(row, hat))
+        for row, hat in zip(plan.matrix.coefficients.tolist(), _represented(plan))
+    ]
+
+
+def _assert_within_bound(result, img):
+    """Every sample within its row's bound of the exact block mean of the stored coefficients.
+
+    Checked exactly: a finite sample is an integer times 2^(e - 53), e
+    its binary exponent, so with N / D the exact mean, D * 2^g times
+    either is an integer once g >= 53 - e. An infinite sample must
+    have the exact mean's sign, and the mean must lie within the bound
+    of the largest float or beyond it.
+    """
+    plan = result.plan
+    rows = zip(result.planes, _exact_means(img, plan.matrix, plan.spec.factor), _bounds(plan))
+    for got, (num, den), bound in rows:
+        if got is None:
+            continue
+        finite = np.isfinite(got)
+        mantissa, e = np.frexp(np.where(finite, got, 0.0))
+        mantissa = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
+        g = max(0, 53 - int(e.min()))
+        scaled = mantissa * den * 2 ** (e + g - 53).astype(object)
+        error = np.abs(scaled - num * 2**g)[finite]
+        assert error.size == 0 or error.max() <= bound * den * 2**g
+        for sample, n in zip(got[~finite], num[~finite]):
+            assert sample == (math.inf if n > 0 else -math.inf)
+            assert abs(Fraction(n, den)) + bound > Fraction(sys.float_info.max)
 
 
 @pytest.mark.parametrize("strategy", [Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST])
 @pytest.mark.parametrize("factor", [1, 2, 3])
 def test_preprocess_equals_literal_float_composition(strategy, factor):
-    # the pipeline reads the uint8 channels directly; a decimal matrix
-    # must give the exact oracle's bits, anything else the bits of the
-    # float64 composition spelled out stage by stage
+    # the pipeline reads the uint8 channels directly, and each plane is the
+    # literal composition, conversion then block mean, evaluated exactly
+    # and rounded: once for a decimal matrix, whose numerators over 10^d
+    # the exact oracle uses; once for THIRD at M = 1 and 2, whose limbs
+    # hold every stored coefficient exactly and whose division by M^2 is
+    # exact there; and within the derived bound at M = 3
     img = synth_image(29, 37, factor)
     spec = DownsampleSpec(factor)
-    for matrix in (builtin_matrix("yiq"), THIRD):
-        for channels in CHANNEL_SETS:
-            result = preprocess(img, matrix, channels, strategy, spec)
-            expected = _expected_planes(img, matrix, channels, spec, strategy)
-            _assert_planes_equal(result.planes, expected, matrix.name, strategy, factor, channels)
-            if strategy is Strategy.DOWNSAMPLE_FIRST and factor in (1, 2) and matrix is THIRD:
-                # at power-of-two M, scaling the sums after converting them
-                # gives the bits of converting the block means
-                means = (block_mean_decimate(p, spec) for p in _float_planes(img))
-                _assert_planes_equal(result.planes, transform(*means, matrix, channels), factor)
+    # Python's int / int rounds the exact quotient once
+    rounded = [(n / d).astype(float) for n, d in _exact_means(img, THIRD, factor)]
+    for channels in CHANNEL_SETS:
+        result = preprocess(img, builtin_matrix("yiq"), channels, strategy, spec)
+        expected = _exact_oracle(img, builtin_matrix("yiq"), channels, factor)
+        _assert_planes_equal(result.planes, expected, strategy, factor, channels)
+        result = preprocess(img, THIRD, channels, strategy, spec)
+        _assert_within_bound(result, img)
+        if factor in (1, 2):
+            wanted = [p if f else None for p, f in zip(rounded, channels.flags)]
+            _assert_planes_equal(result.planes, wanted, strategy, factor, channels)
 
 
 @pytest.mark.parametrize(
@@ -453,15 +520,25 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
 @pytest.mark.parametrize("name", ["identity", "yiq", "lmn", "third"])
 def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, name):
     # both orderings run in row bands; across band edges each must still
-    # give the bits of its whole-plane oracle (exact for a decimal matrix,
-    # the float composition otherwise) and the predicted counts
+    # give the bits of its whole-plane oracle and the predicted counts:
+    # the exact oracle for a decimal matrix; for THIRD, the other
+    # ordering's bits, each requested plane as in the all-channel run,
+    # and those within the derived bound of the exact means
     img = synth_image(height, width, factor)
     matrix = THIRD if name == "third" else builtin_matrix(name)
     spec = DownsampleSpec(factor)
+    strategies = (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+    whole = [preprocess(img, matrix, ALL, strategy, spec) for strategy in strategies]
+    if matrix is THIRD:
+        _assert_planes_equal(whole[0].planes, whole[1].planes)
+        _assert_within_bound(whole[0], img)
     for channels in CHANNEL_SETS:
-        for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+        for strategy in strategies:
             result = preprocess(img, matrix, channels, strategy, spec)
-            expected = _expected_planes(img, matrix, channels, spec, strategy)
+            if matrix is THIRD:
+                expected = [p if f else None for p, f in zip(whole[0].planes, channels.flags)]
+            else:
+                expected = _exact_oracle(img, matrix, channels, factor)
             _assert_planes_equal(result.planes, expected, height, width, factor, channels, strategy)
             assert result.ops == result.plan.predicted
 
@@ -470,10 +547,9 @@ def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, n
 def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, width):
     # either ordering rejects such an image before converting or summing
     # anything, with the error block_mean_decimate gives for the whole
-    # plane; the exact path converts without transform, in matrix
-    # products that convert-first's row sums come out of too, and sums
-    # the columns of its blocks in _column_sums (_integer_block_sum
-    # downsample-first)
+    # plane; every matrix converts without transform, in matrix products
+    # that convert-first's row sums come out of too, and sums the columns
+    # of its blocks in _column_sums (_integer_block_sum downsample-first)
     spec = DownsampleSpec(4)
     with pytest.raises(ValueError) as whole_plane:
         block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
@@ -488,7 +564,6 @@ def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, wid
         return wrapper
 
     monkeypatch.setattr(pipeline, "transform", recording(transform))
-    monkeypatch.setattr(pipeline, "_block_sum", recording(pipeline._block_sum))
     monkeypatch.setattr(pipeline, "_integer_block_sum", recording(pipeline._integer_block_sum))
     monkeypatch.setattr(pipeline, "_column_sums", recording(pipeline._column_sums))
     monkeypatch.setattr(np, "matmul", recording(np.matmul))
@@ -581,21 +656,37 @@ F32, F64 = np.float32, np.float64
         pytest.param("yiq", 256, (F64, F64), id="yiq-256-f32-uint16"),
         pytest.param("yiq", 257, (F64, F64), id="yiq-257-f64-uint16"),
         pytest.param("yiq", 258, (F64, F64), id="yiq-258-f64-uint32"),
+        # two limbs, each sized to keep its block sums below 2^53: float64
+        # at every M, up to the largest uint16 row sum
+        pytest.param("third", 1, (F64, F64), id="third-1"),
+        pytest.param("third", 8, (F64, F64), id="third-8"),
+        pytest.param("third", 17, (F64, F64), id="third-17"),
+        pytest.param("third", 257, (F64, F64), id="third-257"),
+        pytest.param("big", 1, (F64, F64), id="big-1"),
+        pytest.param("big", 8, (F64, F64), id="big-8"),
     ],
 )
 @pytest.mark.parametrize("fill", [(255, 255, 255), (0, 255, 255)], ids=["white", "cyan"])
 def test_exact_path_at_accumulator_edges(name, factor, dtypes, fill):
     # (0, 255, 255) gives yiq's most negative chroma1; both orderings must
-    # equal the Python-integer oracle where each accumulator widens
-    matrix = {"positive": POSITIVE, "fine": FINE}.get(name) or builtin_matrix(name)
+    # equal the Python-integer oracle where each accumulator widens, and
+    # for THIRD and BIG each other, within the derived bound of the exact
+    # means (BIG's white luma overflows to inf in both)
+    limbed = {"third": THIRD, "big": BIG}
+    matrix = {"positive": POSITIVE, "fine": FINE, **limbed}.get(name) or builtin_matrix(name)
     spec = DownsampleSpec(factor)
     img = _filled(2 * factor + 1, factor + 2, fill)
-    want = _fraction_oracle(img, matrix, ALL, factor)
-    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
-        result = preprocess(img, matrix, ALL, strategy, spec)
+    strategies = (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+    with np.errstate(over="ignore" if matrix is BIG else "warn"):
+        cf, df = (preprocess(img, matrix, ALL, strategy, spec) for strategy in strategies)
+    _assert_planes_equal(cf.planes, df.planes)
+    for result in (cf, df):
         assert pipeline._arithmetic(result.plan)[1] == dtypes
-        _assert_planes_equal(result.planes, want, strategy)
         assert result.ops == result.plan.predicted
+    if name in limbed:
+        _assert_within_bound(cf, img)
+    else:
+        _assert_planes_equal(cf.planes, _fraction_oracle(img, matrix, ALL, factor))
 
 
 def _int64_oracle(img, matrix, channels, m):
@@ -637,16 +728,31 @@ def test_exact_path_equals_the_int64_oracle_across_bands(factor):
                 assert result.ops == result.plan.predicted
 
 
+# random coefficients of either sign, of up to 20 binary orders below the
+# largest, scaled by 1e-300 to 1e300: almost never decimal, and at 1e20 and
+# up decimal at d = 0 with numerators past 2^53
+DRAWN = st.builds(
+    lambda entries, p: ColorMatrix("drawn", np.reshape(entries, (3, 3)) * 10.0**p),
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(2**-20, 1), st.floats(-1, -(2**-20))),
+        min_size=9,
+        max_size=9,
+    ),
+    st.integers(-300, 300),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_exact_orderings_equal_the_int64_oracle_on_drawn_images(data):
     # sizes from one block to three downsample-first bands (so many
     # convert-first ones), ragged on either axis, at every factor up to
-    # 20: both orderings give the oracle's bits, hence each other's, and
-    # count what they predict
+    # 20: both orderings give the same bits and count what they predict;
+    # for a decimal matrix those are the oracle's, and for a drawn one
+    # within the derived bound of the exact means
     factor = data.draw(st.integers(1, 20), label="factor")
     matrix = data.draw(
-        st.sampled_from([builtin_matrix("yiq"), builtin_matrix("lmn"), IDENTITY_MATRIX, POSITIVE]),
+        st.one_of(st.sampled_from([*builtin_matrices(), IDENTITY_MATRIX, POSITIVE]), DRAWN),
         label="matrix",
     )
     channels = data.draw(st.sampled_from(CHANNEL_SETS), label="channels")
@@ -660,15 +766,17 @@ def test_exact_orderings_equal_the_int64_oracle_on_drawn_images(data):
         + data.draw(st.integers(0, factor - 1), label="ragged rows")
     )
     img = synth_image(height, width, data.draw(st.integers(0, 2**32), label="seed"))
-    want = _int64_oracle(img, matrix, channels, factor)
     cf, df = (
         preprocess(img, matrix, channels, strategy, spec)
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
     )
     _assert_planes_equal(cf.planes, df.planes)
     for result in (cf, df):
-        _assert_planes_equal(result.planes, want, result.plan.strategy)
         assert result.ops == result.plan.predicted
+    if matrix.name == "drawn":
+        _assert_within_bound(cf, img)
+    else:
+        _assert_planes_equal(cf.planes, _int64_oracle(img, matrix, channels, factor))
 
 
 @pytest.mark.parametrize("factor", [1, 2])
@@ -698,26 +806,42 @@ def test_small_images_equal_the_fraction_oracle():
             assert result.ops == result.plan.predicted
 
 
-def test_float_path_without_an_exact_form():
-    big = ColorMatrix("big", [[1e308, -1e308, 1e308], [1, 0, 0], [0, 1, 0]])
-    cases = [
-        (builtin_matrix("yiq"), np.float32, np.divide),
-        (builtin_matrix("lmn"), np.float32, np.divide),
-        (IDENTITY_MATRIX, np.float32, np.divide),
-        (THIRD, np.float64, np.multiply),  # no decimal form
-        (big, np.float64, np.multiply),  # decimal at d = 0, but its block sums pass 2^53
-    ]
+def test_limbs_without_a_usable_decimal_form():
+    # a decimal matrix is one limb over 10^d M^2; THIRD (no decimal form)
+    # and BIG (decimal, but past 2^53) are two, whose block sums stay
+    # below 2^53 and whose coefficients are within 2^(2b + q - 103) of
+    # what the limbs hold, where 255 M^2 < 2^b and the row's norm < 2^q:
+    # README "Tolerances" derives the closed-form bound from that
     for factor in (1, 2):
-        for matrix, dtype, scale in cases:
+        for name, d in (("yiq", 3), ("lmn", 2), ("identity", 0)):
+            matrix = builtin_matrix(name)
             plan = plan_pipeline(16, 12, matrix, ALL, DownsampleSpec(factor))
-            _, dtypes, got_scale, _ = pipeline._arithmetic(plan)
-            assert (dtypes, got_scale) == ((dtype,) * 2, scale), (matrix.name, factor)
+            numerators, dtypes, shifts, divisor, exponent = pipeline._arithmetic(plan)
+            assert numerators == matrix.decimal_form[0] and dtypes == (F32, F32)
+            assert (shifts, divisor, exponent) == ((), 10.0**d * factor**2, ())
+    for factor in (1, 2, 3, 8, 20, 257):
+        b = (255 * factor**2).bit_length()
+        for matrix in (THIRD, BIG):
+            plan = plan_pipeline(16, 12, matrix, ALL, DownsampleSpec(factor))
+            numerators, dtypes, shifts, divisor, exponent = pipeline._arithmetic(plan)
+            assert (len(numerators), len(shifts), len(exponent)) == (6, 1, 1)
+            assert dtypes == (F64, F64) and divisor == factor**2
+            peak = max(sum(abs(int(n)) for n in row) for row in numerators)
+            assert 255 * factor**2 * peak < 2**53
+            stored = [[Fraction(c) for c in row] for row in matrix.coefficients.tolist()]
+            for row, hat in zip(stored, _represented(plan)):
+                q = next(q for q in range(-1100, 1100) if sum(map(abs, row)) < Fraction(2) ** q)
+                for c, h in zip(row, hat):
+                    assert abs(c - h) <= Fraction(2) ** (2 * b + q - 103)
+            if factor <= 20:
+                # the two limbs together hold every stored coefficient exactly
+                assert _represented(plan) == stored, (matrix.name, factor)
 
 
-def test_impossible_tolerance_fails_on_the_float_path():
+def test_impossible_tolerance_passes_without_a_decimal_form():
+    # every matrix runs on integers, so both orderings agree bit for bit
+    # even without a decimal form; BIG's overflow (NaN) is the failing case
     img = synth_image(384, 384, 1)
-    report = verify_equivalence(img, THIRD, tolerance=1e-18)
-    assert not report.passed
-    assert 0 < report.max_abs_diff <= 1e-9
-    exact = verify_equivalence(img, builtin_matrix("yiq"), tolerance=1e-18)
-    assert exact.passed and exact.max_abs_diff == 0.0
+    for matrix in (THIRD, builtin_matrix("yiq")):
+        report = verify_equivalence(img, matrix, tolerance=5e-324)
+        assert report.passed and report.max_abs_diff == 0.0
