@@ -283,8 +283,8 @@ def _arithmetic(plan: PipelinePlan) -> tuple:
     exponent, so a sample is S / (10^d M^2). Any other matrix, and a
     decimal one whose block sums or divisor would pass 2^53, is split
     into two fixed-point limbs, hi = rint(c * 2^s) and
-    lo = rint((c - hi * 2^-s) * 2^t), each row of each limb at the
-    largest exponent that its own norm allows (:func:`_limb`). Its
+    lo = rint((c - hi * 2^-s) * 2^t), each row of each limb at an
+    exponent taken from its own norm (:func:`_limb`). Its
     numerators are the three hi rows and the three lo rows, shifts is
     (s - t,) and exponent (-s,), per row, and the divisor M^2: a sample
     is ldexp((S_hi + ldexp(S_lo, s - t)) / M^2, -s). The 2^-s goes on
