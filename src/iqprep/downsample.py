@@ -12,20 +12,15 @@ Two implementations of the same reduction are kept on purpose:
 Neither counts operations; the package's op model lives in
 ``iqprep.pipeline.predict_ops``.
 
-Both sum each block in one fixed order, whatever the input dtype: the M
-rows of each column first, then the M column sums, and scale once by
-the same reciprocal 1/M^2. On identical input they therefore agree bit
-for bit, not merely within tolerance. 8-bit planes are summed in
-integers, where every partial sum is exact, so the result equals the
-float64 path on the same values bit for bit as well.
+Both sum each block in one fixed order: the M rows of each column
+first, then the M column sums, and scale once by the same reciprocal
+1/M^2. On identical input they therefore agree bit for bit, not merely
+within tolerance. Both work in float64; an 8-bit plane is cast first,
+and every partial sum of 8-bit samples is an exact float64 integer.
 
-``_integer_block_sum`` is the pipeline's downsample-first kernel for
-the uint8 planes, whatever the matrix: one reduction of the M rows of
-each block, then ``_column_sums``, one matrix product of those row sums
-with M ones. Convert-first's conversion product adds the rows itself
-and calls ``_column_sums`` alone. Their partial sums are exact integers, so the order in which the
-reduction and BLAS add them cannot change a bit, and no order is fixed
-for them.
+They are the float reference the pipeline is checked against. The
+pipeline's own exact integer block sums live in ``iqprep.pipeline``,
+next to the code that types and sizes their buffers.
 
 Boundary policy (fixed in v1): trailing rows/columns that do not fill a
 complete block are dropped, with the block grid anchored at (0, 0). This
@@ -82,10 +77,14 @@ def compute_factor(height: int, width: int) -> DownsampleSpec:
     return DownsampleSpec(factor=max(1, factor))
 
 
-def _as_plane(plane: np.ndarray, dtype: type | None = np.float64) -> np.ndarray:
-    p = np.asarray(plane, dtype=dtype)
+def _as_plane(plane: np.ndarray, m: int) -> np.ndarray:
+    """The plane as float64, checked to be 2-D and, for M > 1, at least M x M."""
+    p = np.asarray(plane, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError(f"expected a 2-D plane, got shape {p.shape}")
+    h, w = p.shape
+    if m > 1 and (h < m or w < m):
+        raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
     return p
 
 
@@ -94,19 +93,18 @@ def block_mean_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:
 
     Output dimensions are ``(h // M, w // M)``; output sample (i, j) is the
     arithmetic mean of the input block with top-left corner (i*M, j*M).
-    The M^2 block samples are summed and scaled once by 1/M^2, which costs
-    M^2 - 1 adds and 1 multiply per output sample (counted by the
-    pipeline, not here). uint8 and float planes alike are summed rows of
-    each block first, then columns; uint8 sums are exact, so they equal
-    the float64 result on the same values.
+    Trailing rows and columns that fill no block are dropped. The M^2
+    block samples are summed, the M rows of each block first (over
+    contiguous full-width rows), then the M columns of the M-times
+    narrower row sums, and scaled once by 1/M^2: M^2 - 1 adds and 1
+    multiply per output sample (counted by the pipeline, not here).
 
     Parameters
     ----------
     plane : ndarray
-      2-D input plane, uint8 or anything that converts to float64.
+      2-D input plane, anything that converts to float64.
     spec : DownsampleSpec
-      Reduction factor M. With M = 1 the input is returned unchanged
-      (uint8 input as a float64 copy).
+      Reduction factor M. With M = 1 the plane is returned as float64.
 
     Returns
     -------
@@ -119,76 +117,19 @@ def block_mean_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:
       If the plane is smaller than M in either axis (for M > 1).
     """
     m = spec.factor
-    integer = m > 1 and np.asarray(plane).dtype == np.uint8
-    p = _as_plane(plane, None if integer else np.float64)
+    p = _as_plane(plane, m)
     if m == 1:
         return p
     h, w = p.shape
-    if h < m or w < m:
-        raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
-    # The explicit dtype keeps value-based casting (numpy < 2) from
-    # narrowing an integer sum below float64.
-    return np.multiply(_block_sum(p, m), 1.0 / (m * m), dtype=np.float64)
-
-
-def _block_sum(plane: np.ndarray, m: int) -> np.ndarray:
-    """Sums of the whole M x M blocks of a 2-D plane at least M x M, for M >= 2.
-
-    Trailing rows and columns that fill no block are dropped. The M rows
-    of each block are added first, over contiguous full-width rows
-    (M(M-1) adds per output sample), then the M columns of the M-times
-    narrower row sums (M-1 adds), in the smallest unsigned type that
-    holds M^2 * 255 for uint8 planes, so every partial sum is exact, and
-    in the plane's own dtype for others.
-    """
-    h, w = plane.shape
-    trimmed = plane[: h - h % m, : w - w % m]
-    dtype = np.min_scalar_type(m * m * 255) if plane.dtype == np.uint8 else plane.dtype
-    cols = np.add(trimmed[0::m], trimmed[1::m], dtype=dtype)
+    trimmed = p[: h - h % m, : w - w % m]
+    cols = trimmed[0::m] + trimmed[1::m]
     for k in range(2, m):
         cols += trimmed[k::m]
-    acc = np.add(cols[:, 0::m], cols[:, 1::m], dtype=dtype)
+    acc = cols[:, 0::m] + cols[:, 1::m]
     for l in range(2, m):
         acc += cols[:, l::m]
+    acc *= 1.0 / (m * m)
     return acc
-
-
-def _integer_block_sum(
-    plane: np.ndarray, m: int, rows: np.ndarray, columns: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Sums of the M x M blocks of an integer-valued plane of whole blocks, into ``out``.
-
-    For M >= 2. ``rows`` and ``columns`` are flat scratch buffers of at
-    least ``plane.size / M`` elements, reused from call to call; ``out``
-    is flat, of ``plane.size / M^2`` elements. One reduction adds the M
-    rows of each block into ``rows``, in its dtype, and
-    :func:`_column_sums` adds the M columns. Every partial sum must be an
-    integer exact in its dtype: then neither the reduction's order nor
-    BLAS's changes a bit.
-    """
-    r, w = plane.shape[0] // m, plane.shape[1]
-    row_sums = rows[: r * w].reshape(r, w)
-    np.add.reduce(plane.reshape(r, m, w), axis=1, dtype=rows.dtype, out=row_sums)
-    return _column_sums(row_sums, m, columns, out)
-
-
-def _column_sums(
-    row_sums: np.ndarray, m: int, columns: np.ndarray | None, out: np.ndarray
-) -> np.ndarray:
-    """Sums of each M consecutive integer row sums, in C order, into ``out``.
-
-    For M >= 2: ``row_sums`` holds ``out.size * M`` of them, the M row
-    sums of a block side by side. Unless they have ``out``'s float dtype
-    already, they are cast into ``columns``, a flat scratch buffer of
-    that dtype reused from call to call. One matrix product with M ones
-    then adds each block's M columns; its partial sums are exact
-    integers, so BLAS's order cannot change a bit.
-    """
-    if row_sums.dtype != out.dtype:
-        cast = columns[: row_sums.size]
-        np.copyto(cast.reshape(row_sums.shape), row_sums)
-        row_sums = cast
-    return np.matmul(row_sums.reshape(-1, m), np.ones(m, out.dtype), out=out)
 
 
 def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:
@@ -201,13 +142,11 @@ def separate_filter_then_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np
     column offsets, and scaled by 1/M^2: the order of
     :func:`block_mean_decimate`, so the two paths are bit-equal.
     """
-    p = _as_plane(plane)
     m = spec.factor
+    p = _as_plane(plane, m)
     if m == 1:
         return p
     h, w = p.shape
-    if h < m or w < m:
-        raise ValueError(f"plane {h}x{w} is smaller than the {m}x{m} filter")
     grid_h, grid_w = h - m + 1, w - m + 1
     rows = p[:grid_h].copy()
     for k in range(1, m):

@@ -40,9 +40,11 @@ converted. No full-size intermediate is built in either ordering, and each
 output sample gets the bits it gets from whole-plane calls.
 
 This module holds the package's one op model: :func:`_execute` counts
-each run's multiplies and adds band by band, and :func:`predict_ops`
-gives the same counts in closed form, so the cost claims are checkable
-without a stopwatch. :func:`plan_pipeline` is the only place that
+the samples each band converts, block-sums and scales, :func:`predict_ops`
+gives the same numbers in closed form, and both price them with one
+helper, so the cost claims are checkable without a stopwatch. It also
+holds the exact block-sum kernels, beside the code that types and sizes
+their buffers. :func:`plan_pipeline` is the only place that
 defaults the factor M and resolves ``Strategy.AUTO``; every entry point
 then runs its plan through one executor.
 """
@@ -59,13 +61,7 @@ import numpy as np
 # perfbench's traced run wraps transform and block_mean_decimate on this
 # module, so both stay attributes of it although _execute calls neither.
 from iqprep.colorspace import ChannelSet, ColorMatrix, transform
-from iqprep.downsample import (
-    DownsampleSpec,
-    _column_sums,
-    _integer_block_sum,
-    block_mean_decimate,
-    compute_factor,
-)
+from iqprep.downsample import DownsampleSpec, block_mean_decimate, compute_factor
 from iqprep.image import RgbImage8
 
 __all__ = [
@@ -95,23 +91,21 @@ class Strategy(Enum):
     AUTO = "auto"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpCounter:
     """Tally of scalar multiplies and adds of one pipeline stage.
 
-    :func:`_execute` records each stage once per band, from the sizes of
-    the arrays the band converts, sums and scales, so counts are exact
-    and hardware independent. They compose additively across stages.
+    :func:`_execute` counts each stage from the sizes of the arrays its
+    bands convert, sum and scale, so counts are exact and hardware
+    independent. They compose additively across stages.
     """
 
     multiplies: int = 0
     adds: int = 0
 
-    def record(self, multiplies: int = 0, adds: int = 0) -> None:
-        if multiplies < 0 or adds < 0:
+    def __post_init__(self) -> None:
+        if self.multiplies < 0 or self.adds < 0:
             raise ValueError("operation counts must be non-negative")
-        self.multiplies += multiplies
-        self.adds += adds
 
     def __add__(self, other: "OpCounter") -> "OpCounter":
         return OpCounter(self.multiplies + other.multiplies, self.adds + other.adds)
@@ -212,12 +206,20 @@ def predict_ops(
         raise ValueError("predict_ops needs a concrete strategy, not AUTO")
     m, k = spec.factor, channels.count
     n_out = (height // m) * (width // m)
-    df = strategy is Strategy.DOWNSAMPLE_FIRST
-    converted, summed = (n_out, 3) if df else (m * m * n_out, k)
-    filtered = n_out if m > 1 else 0
+    if strategy is Strategy.DOWNSAMPLE_FIRST:
+        return _stage_ops(m, k, converted=n_out, summed=3 * n_out, scaled=k * n_out)
+    return _stage_ops(m, k, converted=m * m * n_out, summed=k * n_out, scaled=k * n_out)
+
+
+def _stage_ops(m: int, k: int, converted: int, summed: int, scaled: int) -> StageOps:
+    """Stage costs of the samples a run converts, block-sums and scales.
+
+    The costs per sample are :func:`predict_ops`'s, for k requested
+    channels at factor M; at M = 1 nothing is filtered.
+    """
     return StageOps(
         conversion=OpCounter(multiplies=3 * k * converted, adds=2 * k * converted),
-        filtering=OpCounter(multiplies=k * filtered, adds=(m * m - 1) * summed * filtered),
+        filtering=OpCounter(multiplies=scaled if m > 1 else 0, adds=(m * m - 1) * summed),
     )
 
 
@@ -319,6 +321,48 @@ def _arithmetic(plan: PipelinePlan) -> tuple:
     return numerators, dtypes, shifts, float(divisor), exponent
 
 
+def _integer_block_sum(
+    plane: np.ndarray, m: int, rows: np.ndarray, columns: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Sums of the M x M blocks of a uint8 plane of whole blocks, into ``out``.
+
+    For M >= 2. ``rows`` and ``columns`` are flat scratch buffers of at
+    least ``plane.size / M`` elements, reused from call to call; ``out``
+    is flat, of ``plane.size / M^2`` elements. One reduction adds the M
+    rows of each block into ``rows``, in its dtype, and
+    :func:`_column_sums` adds the M columns. :func:`_execute` types the
+    buffers so that every partial sum is an exact integer: a row sum, at
+    most 255 M, in uint16 up to M = 257, and a block sum, at most
+    255 M^2, in float32 below 2^24 and float64 above. Then neither the
+    reduction's order nor BLAS's changes a bit.
+    """
+    r, w = plane.shape[0] // m, plane.shape[1]
+    row_sums = rows[: r * w].reshape(r, w)
+    np.add.reduce(plane.reshape(r, m, w), axis=1, dtype=rows.dtype, out=row_sums)
+    return _column_sums(row_sums, m, columns, out)
+
+
+def _column_sums(
+    row_sums: np.ndarray, m: int, columns: np.ndarray | None, out: np.ndarray
+) -> np.ndarray:
+    """Sums of each M consecutive integer row sums, in C order, into ``out``.
+
+    For M >= 2: ``row_sums`` holds ``out.size * M`` of them, the M row
+    sums of a block side by side. Unless they have ``out``'s float dtype
+    already, they are cast into ``columns``, a flat scratch buffer of
+    that dtype reused from call to call. One matrix product with M ones
+    then adds each block's M columns; its partial sums are exact
+    integers (:func:`_arithmetic` and :func:`_execute` keep them below
+    2^24 in float32 and 2^53 in float64), so BLAS's order cannot change
+    a bit.
+    """
+    if row_sums.dtype != out.dtype:
+        cast = columns[: row_sums.size]
+        np.copyto(cast.reshape(row_sums.shape), row_sums)
+        row_sums = cast
+    return np.matmul(row_sums.reshape(-1, m), np.ones(m, out.dtype), out=out)
+
+
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     """Run the ordering ``plan.strategy`` names and count both stages.
 
@@ -349,10 +393,10 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     shifted, to the first's and scale the k requested planes, in float64
     and one call per band, into their rows of one (k, h/M, w/M) array,
     whose views the result holds; so their outputs are identical. No
-    full-size intermediate is ever built. Each band records its
-    conversion and filtering counts as it runs them.
+    full-size intermediate is ever built. The samples each band
+    converts, block-sums and scales are counted as it runs them, and
+    :func:`_stage_ops` prices them as :func:`predict_ops` does.
     """
-    conversion, filtering = OpCounter(), OpCounter()
     m = plan.spec.factor
     h, w = image.height, image.width
     if h < m or w < m:
@@ -398,37 +442,44 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         columns = np.empty(rows.size, np.float32 if 255 * m * m < 1 << 24 else np.float64)
         summed = staging if columns.dtype == sum_t else np.empty(staging.size, columns.dtype)
 
-    def convert(staged: np.ndarray, size: int) -> np.ndarray:
-        """The weights times the staged planes, for ``size`` converted samples."""
-        conversion.record(multiplies=3 * k * size, adds=2 * k * size)
+    def convert(staged: np.ndarray) -> np.ndarray:
+        """The weights times the staged planes."""
         # every product and partial sum is an integer exact in the weights'
         # dtype, so neither the order of the sums nor an FMA in BLAS changes a bit
         n = staged.shape[1]
         return np.matmul(weights, staged, out=product[: len(weights) * n].reshape(-1, n))
 
+    # samples converted (of one plane), block sums, and samples scaled
+    n_converted = n_summed = n_scaled = 0
     for a in range(0, h, step):
         b = a + step
         rgb = [c[a:b] for c in cropped]
         reduced = (rgb[0].shape[0] // m, w // m)
         n = reduced[0] * reduced[1]
-        if full_resolution:
-            # staged[c * M + i, j * w + x] is channel c at row j * M + i of
-            # the band, so row j of the product is block row j's row sums
-            r = reduced[0]
-            blocks = [c.reshape(r, m, w).transpose(1, 0, 2) for c in rgb]
-            staged = np.concatenate(blocks, axis=None, out=staging[: 3 * rgb[0].size])
-            band = convert(staged.reshape(3 * m, r * w), rgb[0].size)
-            if m > 1:
-                band = _column_sums(band, m, columns, summed[: len(band) * n])
-                filtering.record(adds=(m * m - 1) * k * n)
-            totals = band.reshape(-1, *reduced)
-        else:
-            for i, c in enumerate(rgb):
-                _integer_block_sum(c, m, rows, columns, summed[i * n : (i + 1) * n])
-                filtering.record(adds=(m * m - 1) * n)
-            if summed is not staging:
-                np.copyto(staging[: 3 * n], summed[: 3 * n])
-            totals = convert(staging[: 3 * n].reshape(3, n), n).reshape(-1, *reduced)
+        # Up to the limb add, every cast, sum and product is of integers exact
+        # in their dtype, so none is invalid; OpenBLAS's SkylakeX sgemv raises
+        # that flag anyway (README, "Exact integer path"), so it alone is ignored.
+        with np.errstate(invalid="ignore"):
+            if full_resolution:
+                # staged[c * M + i, j * w + x] is channel c at row j * M + i of
+                # the band, so row j of the product is block row j's row sums
+                r = reduced[0]
+                blocks = [c.reshape(r, m, w).transpose(1, 0, 2) for c in rgb]
+                staged = np.concatenate(blocks, axis=None, out=staging[: 3 * rgb[0].size])
+                band = convert(staged.reshape(3 * m, r * w))
+                n_converted += rgb[0].size
+                if m > 1:
+                    band = _column_sums(band, m, columns, summed[: len(band) * n])
+                    n_summed += k * n
+                totals = band.reshape(-1, *reduced)
+            else:
+                for i, c in enumerate(rgb):
+                    _integer_block_sum(c, m, rows, columns, summed[i * n : (i + 1) * n])
+                n_summed += 3 * n
+                if summed is not staging:
+                    np.copyto(staging[: 3 * n], summed[: 3 * n])
+                totals = convert(staging[: 3 * n].reshape(3, n)).reshape(-1, *reduced)
+                n_converted += n
         # no iteration here or below for a decimal matrix: one limb, no exponent
         for i, shift in enumerate(shifts, 1):
             low = totals[i * k : (i + 1) * k]
@@ -438,9 +489,9 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         np.divide(totals[:k], divisor, out=scaled, dtype=np.float64)
         for e in exponent:
             np.ldexp(scaled, e, out=scaled)
-        # at M = 1 there is no mean to take; predict_ops counts none
-        filtering.record(multiplies=scaled.size if m > 1 else 0)
-    return PreprocessedChannels(*outputs, plan=plan, ops=StageOps(conversion, filtering))
+        n_scaled += scaled.size
+    ops = _stage_ops(m, k, n_converted, n_summed, n_scaled)
+    return PreprocessedChannels(*outputs, plan=plan, ops=ops)
 
 
 def run_convert_first(
