@@ -5,8 +5,9 @@ schema: counters are exact and reproduce on any machine, wall-clock
 numbers do not. Each timed quantity is one full metric evaluation, i.e.
 preprocessing of the reference and distorted images under one strategy
 followed by scoring, repeated after an untimed warm-up pass with the
-median (plus min/max) reported. Timing runs one strategy at a time on the
-main thread so the comparison is fair.
+median (plus min/max) reported. Each ordering is warmed up once, then the
+timed repetitions alternate which ordering runs first, on the main
+thread, so that neither always runs on the heap the other left.
 """
 
 from __future__ import annotations
@@ -130,32 +131,32 @@ def run_bench(sizes: list[tuple[int, int]], seed: int = 1, reps: int = 5) -> lis
         ref = synth_image(height, width, seed)
         dst = synth_image(height, width, seed + 1)
         for config in default_pipelines():
-            timed = []
-            for strategy in _STRATEGIES:
-                ops = _evaluate(ref, dst, config, strategy, spec)  # warm-up, untimed
-                elapsed = []
-                for _ in range(reps):
+            ops = {s: _evaluate(ref, dst, config, s, spec) for s in _STRATEGIES}  # warm-ups
+            elapsed: dict[Strategy, list[float]] = {s: [] for s in _STRATEGIES}
+            for rep in range(reps):
+                # CF DF, then DF CF, ...: neither ordering always runs on
+                # the heap the other left
+                for strategy in _STRATEGIES[:: -1 if rep % 2 else 1]:
                     start = time.perf_counter()
                     _evaluate(ref, dst, config, strategy, spec)
-                    elapsed.append((time.perf_counter() - start) * 1e3)
-                if min(elapsed) <= 0.0:
-                    raise RuntimeError("timer returned a non-positive duration")
-                timed.append((strategy, elapsed, ops))
-            cf_ms, df_ms = (statistics.median(elapsed) for _, elapsed, _ in timed)
+                    elapsed[strategy].append((time.perf_counter() - start) * 1e3)
+            if min(map(min, elapsed.values())) <= 0.0:
+                raise RuntimeError("timer returned a non-positive duration")
+            cf_ms, df_ms = (statistics.median(elapsed[s]) for s in _STRATEGIES)
             records.extend(
                 BenchRecord(
                     size_label=label,
                     pipeline=config.name,
                     strategy=strategy,
-                    ms_median=statistics.median(elapsed),
-                    ms_min=min(elapsed),
-                    ms_max=max(elapsed),
-                    conversion=ops.conversion,
-                    filtering=ops.filtering,
+                    ms_median=statistics.median(elapsed[strategy]),
+                    ms_min=min(elapsed[strategy]),
+                    ms_max=max(elapsed[strategy]),
+                    conversion=ops[strategy].conversion,
+                    filtering=ops[strategy].filtering,
                     factor=spec.factor,
                     speedup=cf_ms / df_ms,
                 )
-                for strategy, elapsed, ops in timed
+                for strategy in _STRATEGIES
             )
     return records
 

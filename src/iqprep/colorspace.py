@@ -21,6 +21,7 @@ other is split into two fixed-point limbs (``iqprep.pipeline._arithmetic``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,6 +97,13 @@ class ChannelSet:
     chroma2: bool = True
 
     def __post_init__(self) -> None:
+        # stored as a bool, since the pipeline masks arrays with the flags
+        # and a list of ints would index them by position instead
+        for name, flag in zip(_CHANNEL_NAMES, self.flags):
+            boolean = isinstance(flag, (bool, np.bool_))
+            if not boolean and not (hasattr(flag, "__index__") and operator.index(flag) in (0, 1)):
+                raise TypeError(f"channel flag {name} must be a bool, 0 or 1, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         if not (self.luma or self.chroma1 or self.chroma2):
             raise ValueError("at least one channel must be requested")
 

@@ -328,13 +328,13 @@ def _integer_block_sum(
 
     For M >= 2. ``rows`` and ``columns`` are flat scratch buffers of at
     least ``plane.size / M`` elements, reused from call to call; ``out``
-    is flat, of ``plane.size / M^2`` elements. One reduction adds the M
-    rows of each block into ``rows``, in its dtype, and
-    :func:`_column_sums` adds the M columns. :func:`_execute` types the
-    buffers so that every partial sum is an exact integer: a row sum, at
-    most 255 M, in uint16 up to M = 257, and a block sum, at most
-    255 M^2, in float32 below 2^24 and float64 above. Then neither the
-    reduction's order nor BLAS's changes a bit.
+    is flat, of ``plane.size / M^2`` elements, and may be wider than
+    ``columns``. One reduction adds the M rows of each block into
+    ``rows``, in its dtype, and :func:`_column_sums` adds the M columns.
+    :func:`_execute` types the buffers so that every partial sum is an
+    exact integer: a row sum, at most 255 M, in uint16 up to M = 257,
+    and a block sum, at most 255 M^2, in float32 below 2^24 and float64
+    above. Then neither the reduction's order nor BLAS's changes a bit.
     """
     r, w = plane.shape[0] // m, plane.shape[1]
     row_sums = rows[: r * w].reshape(r, w)
@@ -348,19 +348,19 @@ def _column_sums(
     """Sums of each M consecutive integer row sums, in C order, into ``out``.
 
     For M >= 2: ``row_sums`` holds ``out.size * M`` of them, the M row
-    sums of a block side by side. Unless they have ``out``'s float dtype
-    already, they are cast into ``columns``, a flat scratch buffer of
-    that dtype reused from call to call. One matrix product with M ones
-    then adds each block's M columns; its partial sums are exact
-    integers (:func:`_arithmetic` and :func:`_execute` keep them below
-    2^24 in float32 and 2^53 in float64), so BLAS's order cannot change
-    a bit.
+    sums of a block side by side. Given ``columns``, a flat scratch
+    buffer reused from call to call, they are cast into it first. One
+    matrix product with M ones of the summed operand's dtype then adds
+    each block's M columns; its partial sums are exact integers
+    (:func:`_arithmetic` and :func:`_execute` keep them below 2^24 in
+    float32 and 2^53 in float64), so BLAS's order cannot change a bit,
+    and the product casts them exactly into ``out`` where it is wider.
     """
-    if row_sums.dtype != out.dtype:
+    if columns is not None:
         cast = columns[: row_sums.size]
         np.copyto(cast.reshape(row_sums.shape), row_sums)
         row_sums = cast
-    return np.matmul(row_sums.reshape(-1, m), np.ones(m, out.dtype), out=out)
+    return np.matmul(row_sums.reshape(-1, m), np.ones(m, row_sums.dtype), out=out)
 
 
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
@@ -385,8 +385,8 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
       downsample-first runs it too;
     * downsample-first block-sums each uint8 plane with
       ``_integer_block_sum`` (one reduction of the M rows of each block,
-      then ``_column_sums``) and converts the three planes of sums in one
-      matrix product with the numerator rows.
+      then ``_column_sums``) straight into the staging array, and converts
+      the three planes of sums in one matrix product with the numerator rows.
 
     Every partial sum is an exact integer, so both orderings build the
     same integers in any order. Both then add a second limb's planes,
@@ -432,15 +432,14 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
             # the planes of row sums are summed at once, through a cast
             # where the block sums need float64 and the row sums do not
             columns = None if row_t == sum_t else np.empty(product.size, sum_t)
-            summed = np.empty(len(weights) * rows_max // m * (w // m), sum_t)
+            block_sums = np.empty(len(weights) * rows_max // m * (w // m), sum_t)
     else:
         staging = np.empty(3 * rows_max // m * (w // m), sum_t)
         product = np.empty(len(weights) * staging.size // 3, sum_t)
         # one uint8 plane at a time: its row sums are at most 255 M, its
-        # block sums 255 M^2, held in float32 below 2^24
+        # block sums 255 M^2, summed in float32 below 2^24 into staging
         rows = np.empty(rows_max // m * w, np.min_scalar_type(255 * m))
         columns = np.empty(rows.size, np.float32 if 255 * m * m < 1 << 24 else np.float64)
-        summed = staging if columns.dtype == sum_t else np.empty(staging.size, columns.dtype)
 
     def convert(staged: np.ndarray) -> np.ndarray:
         """The weights times the staged planes."""
@@ -469,15 +468,13 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
                 band = convert(staged.reshape(3 * m, r * w))
                 n_converted += rgb[0].size
                 if m > 1:
-                    band = _column_sums(band, m, columns, summed[: len(band) * n])
+                    band = _column_sums(band, m, columns, block_sums[: len(band) * n])
                     n_summed += k * n
                 totals = band.reshape(-1, *reduced)
             else:
                 for i, c in enumerate(rgb):
-                    _integer_block_sum(c, m, rows, columns, summed[i * n : (i + 1) * n])
+                    _integer_block_sum(c, m, rows, columns, staging[i * n : (i + 1) * n])
                 n_summed += 3 * n
-                if summed is not staging:
-                    np.copyto(staging[: 3 * n], summed[: 3 * n])
                 totals = convert(staging[: 3 * n].reshape(3, n)).reshape(-1, *reduced)
                 n_converted += n
         # no iteration here or below for a decimal matrix: one limb, no exponent

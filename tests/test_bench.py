@@ -108,6 +108,22 @@ def test_repeated_size_is_rejected_before_any_timing(monkeypatch):
     assert calls == []
 
 
+def test_timed_repetitions_alternate_the_orderings(monkeypatch):
+    # one untimed warm-up of each ordering, then CF DF, DF CF, CF DF
+    sequence, evaluate = [], bench._evaluate
+
+    def recording(ref, dst, config, strategy, spec):
+        sequence.append(strategy)
+        return evaluate(ref, dst, config, strategy, spec)
+
+    monkeypatch.setattr(bench, "default_pipelines", lambda: default_pipelines()[:1])
+    monkeypatch.setattr(bench, "_evaluate", recording)
+    records = run_bench([(16, 16)], reps=3)
+    cf, df = Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST
+    assert sequence == [cf, df, cf, df, df, cf, cf, df]
+    assert [r.strategy for r in records] == [cf, df]
+
+
 def test_ranking_reads_the_first_record_of_each_cell():
     records = make_golden_records()
     # a later copy of every cell with the speed order of each size reversed

@@ -135,6 +135,10 @@ def test_dimension_mismatch_raises():
 def test_channel_set_requires_a_channel():
     with pytest.raises(ValueError, match="at least one"):
         ChannelSet(False, False, False)
+    for flags in ((2, 0, 0), ("yes", "", "x"), (1.0, 0, 0), (True, None, True)):
+        with pytest.raises(TypeError, match="must be a bool, 0 or 1"):
+            ChannelSet(*flags)
+    assert ChannelSet(1, 0, np.True_).flags == (True, False, True)
     assert ChannelSet.all_channels().count == 3
     assert ChannelSet.luma_only().names() == ("luma",)
 

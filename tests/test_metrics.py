@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -228,9 +229,11 @@ def test_chroma_power_special_bases(weight):
 
 
 # Below about 1e-100 the complex form, exp(w*log(z)), loses roughly
-# |w*ln|x||*eps of relative accuracy itself, so random bases stay above it.
+# |w*ln|x||*eps of relative accuracy itself, so random bases stay above it;
+# test_chroma_power_of_tiny_bases_matches_a_decimal_evaluation covers those.
 _bases = st.one_of(
-    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=-1e-3),
     st.floats(min_value=1e-100, max_value=1e-3),
     st.floats(min_value=-1e-3, max_value=-1e-100),
     st.sampled_from([0.0, -0.0]),
@@ -247,6 +250,34 @@ def test_chroma_power_matches_complex_principal_power(bases, weight):
     np.testing.assert_allclose(got, _complex_chroma_power(bases, weight), rtol=1e-13, atol=0)
     if weight == 0.0:
         assert np.all(got == 1.0)
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _decimal_chroma_power(base, weight):
+    """Real part of the principal power base^weight, evaluated to 60 digits."""
+    with localcontext() as context:
+        context.prec = 60
+        x, w = Decimal(base), Decimal(weight)
+        power = (w * abs(x).ln()).exp()
+        if x < 0:  # times cos(pi*w), by its Taylor series
+            y, term, cos = _PI * w, Decimal(1), Decimal(0)
+            for n in range(1, 60):
+                cos += term
+                term *= -y * y / ((2 * n - 1) * 2 * n)
+            power *= cos
+        return float(power)
+
+
+@pytest.mark.parametrize("weight", [0.873, 0.9516])
+def test_chroma_power_of_tiny_bases_matches_a_decimal_evaluation(weight):
+    # the bases the drawn ones leave out; the complex form errs by up to
+    # 5.6e-14 here, so a 60-digit evaluation is the reference
+    tiny = [5e-324, 2.2250738585e-311, 1e-300, 1e-200]
+    bases = np.array([*tiny, *(-b for b in tiny)])
+    want = [_decimal_chroma_power(b, weight) for b in bases]
+    np.testing.assert_allclose(_chroma_power(bases, weight), want, rtol=1e-13, atol=0)
 
 
 @settings(max_examples=100, deadline=None)

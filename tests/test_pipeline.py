@@ -371,21 +371,20 @@ def test_equivalence_randomized_channel_subsets():
         assert set(report.per_channel) == set(channels.names())
 
 
-def _exact_oracle(img, matrix, channels, m):
+def _int64_oracle(img, matrix, channels, m):
     """Each output sample as the exact block mean of the matrix's decimal form, rounded once.
 
-    The int64 block sums are exact and, for 8-bit inputs at these sizes,
-    below 2^53, so one float64 division rounds each exact rational once.
+    Block sums by reshape and the numerators in int64, then one float64
+    division each. Every integer here is below 2^53, so that division
+    rounds the exact rational once, as ``fractions.Fraction`` would.
     """
     numerators, d = matrix.decimal_form
-    h, w = img.height - img.height % m, img.width - img.width % m
-    rgb = [c[:h, :w].astype(np.int64) for c in img.channels]
+    h, w = img.height // m, img.width // m
+    sums = [c[: h * m, : w * m].reshape(h, m, w, m).sum(axis=(1, 3), dtype=np.int64) for c in img.channels]
+    divisor = float(10**d * m * m)
     return [
-        sum(n * c for n, c in zip(row, rgb)).reshape(h // m, m, w // m, m).sum(axis=(1, 3))
-        / (10**d * m * m)
-        if wanted
-        else None
-        for row, wanted in zip(numerators, channels.flags)
+        sum(n * s for n, s in zip(row, sums)) / divisor if f else None
+        for row, f in zip(numerators, channels.flags)
     ]
 
 
@@ -491,7 +490,7 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
     # the pipeline reads the uint8 channels directly, and each plane is the
     # literal composition, conversion then block mean, evaluated exactly
     # and rounded: once for a decimal matrix, whose numerators over 10^d
-    # the exact oracle uses; once for THIRD at M = 1 and 2, whose limbs
+    # the int64 oracle uses; once for THIRD at M = 1 and 2, whose limbs
     # hold every stored coefficient exactly and whose division by M^2 is
     # exact there; and within the derived bound at M = 3
     img = synth_image(29, 37, factor)
@@ -500,7 +499,7 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
     rounded = [(n / d).astype(float) for n, d in _exact_means(img, THIRD, factor)]
     for channels in CHANNEL_SETS:
         result = preprocess(img, builtin_matrix("yiq"), channels, strategy, spec)
-        expected = _exact_oracle(img, builtin_matrix("yiq"), channels, factor)
+        expected = _int64_oracle(img, builtin_matrix("yiq"), channels, factor)
         _assert_planes_equal(result.planes, expected, strategy, factor, channels)
         result = preprocess(img, THIRD, channels, strategy, spec)
         _assert_within_bound(result, img)
@@ -524,7 +523,7 @@ def test_preprocess_equals_literal_float_composition(strategy, factor):
 def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, name):
     # both orderings run in row bands; across band edges each must still
     # give the bits of its whole-plane oracle and the predicted counts:
-    # the exact oracle for a decimal matrix; for THIRD, the other
+    # the int64 oracle for a decimal matrix; for THIRD, the other
     # ordering's bits, each requested plane as in the all-channel run,
     # and those within the derived bound of the exact means
     img = synth_image(height, width, factor)
@@ -541,7 +540,7 @@ def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, n
             if matrix is THIRD:
                 expected = [p if f else None for p, f in zip(whole[0].planes, channels.flags)]
             else:
-                expected = _exact_oracle(img, matrix, channels, factor)
+                expected = _int64_oracle(img, matrix, channels, factor)
             _assert_planes_equal(result.planes, expected, height, width, factor, channels, strategy)
             assert result.ops == result.plan.predicted
 
@@ -601,21 +600,6 @@ def test_downsample_first_never_holds_a_full_reduced_rgb_set():
     assert peak < reduced_rgb_bytes
 
 
-def _fraction_oracle(img, matrix, channels, m):
-    """Python-integer block sums combined with the numerators, each mean rounded once."""
-    numerators, d = matrix.decimal_form
-    rgb = [c.tolist() for c in img.channels]
-    out = [np.empty((img.height // m, img.width // m)) if f else None for f in channels.flags]
-    for i in range(img.height // m):
-        for j in range(img.width // m):
-            sums = [sum(v for line in p[i * m : (i + 1) * m] for v in line[j * m : (j + 1) * m]) for p in rgb]
-            for plane, row in zip(out, numerators):
-                if plane is not None:
-                    total = sum(n * s for n, s in zip(row, sums))
-                    plane[i, j] = float(Fraction(total, 10**d * m * m))
-    return out
-
-
 def _filled(height, width, rgb):
     return RgbImage8(height, width, *(np.full((height, width), v, dtype=np.uint8) for v in rgb))
 
@@ -672,7 +656,7 @@ F32, F64 = np.float32, np.float64
 @pytest.mark.parametrize("fill", [(255, 255, 255), (0, 255, 255)], ids=["white", "cyan"])
 def test_exact_path_at_accumulator_edges(name, factor, dtypes, fill):
     # (0, 255, 255) gives yiq's most negative chroma1; both orderings must
-    # equal the Python-integer oracle where each accumulator widens, and
+    # equal the int64 oracle where each accumulator widens, and
     # for THIRD and BIG each other, within the derived bound of the exact
     # means (BIG's white luma overflows to inf in both)
     limbed = {"third": THIRD, "big": BIG}
@@ -689,22 +673,7 @@ def test_exact_path_at_accumulator_edges(name, factor, dtypes, fill):
     if name in limbed:
         _assert_within_bound(cf, img)
     else:
-        _assert_planes_equal(cf.planes, _fraction_oracle(img, matrix, ALL, factor))
-
-
-def _int64_oracle(img, matrix, channels, m):
-    """Block sums by reshape and the numerators in int64, then one float64 division each.
-
-    Every integer here is below 2^53, so the division is the one rounding.
-    """
-    numerators, d = matrix.decimal_form
-    h, w = img.height // m, img.width // m
-    sums = [c[: h * m, : w * m].reshape(h, m, w, m).sum(axis=(1, 3), dtype=np.int64) for c in img.channels]
-    divisor = float(10**d * m * m)
-    return [
-        sum(n * s for n, s in zip(row, sums)) / divisor if f else None
-        for row, f in zip(numerators, channels.flags)
-    ]
+        _assert_planes_equal(cf.planes, _int64_oracle(img, matrix, ALL, factor))
 
 
 @pytest.mark.parametrize("factor", [2, 3, 4, 5, 8, 16, 17])
@@ -806,7 +775,7 @@ def test_exact_products_ignore_a_spurious_invalid_flag():
         pytest.skip("needs the C library's snprintf")
     snan = struct.unpack("<d", struct.pack("<Q", 0x7FA00001_7FA00001))[0]
     img = synth_image(10, 15, 3)
-    want = _fraction_oracle(img, builtin_matrix("yiq"), LUMA, 5)
+    want = _int64_oracle(img, builtin_matrix("yiq"), LUMA, 5)
     for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
         snprintf(None, 0, b"%f" * 400, *[ctypes.c_double(snan)] * 400)
         result = preprocess(img, builtin_matrix("yiq"), LUMA, strategy, DownsampleSpec(5))
@@ -814,6 +783,7 @@ def test_exact_products_ignore_a_spurious_invalid_flag():
 
 
 def test_small_images_equal_the_fraction_oracle():
+    # the int64 oracle rounds each exact mean once, as a Fraction would
     rng = np.random.default_rng(16)
     for case in range(40):
         factor = int(rng.integers(1, 6))
@@ -821,11 +791,22 @@ def test_small_images_equal_the_fraction_oracle():
         matrix = (builtin_matrix("yiq"), builtin_matrix("lmn"), IDENTITY_MATRIX)[case % 3]
         channels = CHANNEL_SETS[case % len(CHANNEL_SETS)]
         img = synth_image(height, width, case)
-        want = _fraction_oracle(img, matrix, channels, factor)
+        want = _int64_oracle(img, matrix, channels, factor)
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
             result = preprocess(img, matrix, channels, strategy, DownsampleSpec(factor))
             _assert_planes_equal(result.planes, want, case, strategy)
             assert result.ops == result.plan.predicted
+
+
+def test_int_channel_flags_give_the_bool_flag_planes():
+    # a list of ints indexes an array by position, not as a mask, so int
+    # flags must become bools before _execute picks each plane's row
+    img = synth_image(40, 48, 1)
+    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
+        got = preprocess(img, THIRD, ChannelSet(1, 1, 1), strategy, DownsampleSpec(4))
+        want = preprocess(img, THIRD, ALL, strategy, DownsampleSpec(4))
+        _assert_planes_equal(got.planes, want.planes, strategy)
+        assert got.ops == want.ops
 
 
 def test_limbs_without_a_usable_decimal_form():
