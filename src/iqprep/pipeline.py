@@ -16,37 +16,19 @@ fewer pixels. When fewer than three channels are needed, convert-first
 filters fewer planes instead, which is why the selector keys on the
 channel count.
 
-Both orderings sum integers, so they commute exactly: their outputs
-are bit-identical for every matrix. A matrix of decimals (both
-built-ins, and the identity) is converted with its integer numerators
-and divided once, so each sample is its exact value rounded once. Any
-other matrix is split into two fixed-point limbs of integer numerators,
-each sample rounded once more where the limbs' sums are added (README,
-"Tolerances", gives the error bound). The integers are held in float32
-while they stay below 2^24 and in float64 above. Convert-first stages a
-band's three planes as the M rows of its blocks and multiplies them by
-the numerators, each repeated M times, so one matrix product converts
-every sample and adds the M rows of each block; one more product with M
-ones adds the columns. Downsample-first adds the M rows of each block of
-a uint8 plane in one reduction and the columns in the same product with
-M ones, and converts the three planes of sums in one product. Every
-partial sum is an exact integer, so no order of the sums changes a bit.
-
-Both orderings run in row bands of whole M x M blocks. A convert-first
-band (about 2^16 samples) is converted and then reduced while its planes
-are still in cache; a downsample-first band (about 2^14 reduced samples,
-fewer from M = 5 up) is block-summed from the uint8 channels and then
-converted. No full-size intermediate is built in either ordering, and each
-output sample gets the bits it gets from whole-plane calls.
+Both orderings sum integers, so they commute exactly: their outputs are
+bit-identical for every matrix. :func:`_arithmetic` picks the integers
+and their exact float dtypes, :func:`_execute` runs each ordering as a
+sequence of the same band stages, and :func:`_band_rows` sizes the bands
+(README, "Exact integer path" and "Banded preprocessing").
 
 This module holds the package's one op model: :func:`_execute` counts
 the samples each band converts, block-sums and scales, :func:`predict_ops`
 gives the same numbers in closed form, and both price them with one
-helper, so the cost claims are checkable without a stopwatch. It also
-holds the exact block-sum kernels, beside the code that types and sizes
-their buffers. :func:`plan_pipeline` is the only place that
-defaults the factor M and resolves ``Strategy.AUTO``; every entry point
-then runs its plan through one executor.
+helper, so the cost claims are checkable without a stopwatch.
+:func:`plan_pipeline` is the only place that defaults the factor M and
+resolves ``Strategy.AUTO``; every entry point then runs its plan through
+one executor.
 """
 
 from __future__ import annotations
@@ -260,9 +242,13 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
     doubled the time of a 4K image at M = 8.
     """
     m = plan.spec.factor
-    full_resolution = plan.strategy is Strategy.CONVERT_FIRST or m == 1
-    samples = 1 << 16 if full_resolution else min(m * m << 14, m << 16)
+    samples = 1 << 16 if _full_resolution(plan) else min(m * m << 14, m << 16)
     return m * max(1, samples // (m * width))
+
+
+def _full_resolution(plan: PipelinePlan) -> bool:
+    """Whether the plan converts its samples unreduced: convert-first, or M = 1."""
+    return plan.strategy is Strategy.CONVERT_FIRST or plan.spec.factor == 1
 
 
 def _limb(x: np.ndarray, room: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,39 +349,75 @@ def _column_sums(
     return np.matmul(row_sums.reshape(-1, m), np.ones(m, row_sums.dtype), out=out)
 
 
+def _stage(rgb: list[np.ndarray], m: int, out: np.ndarray) -> np.ndarray:
+    """Convert-first's band of three uint8 planes as the rows of its blocks, cast into ``out``.
+
+    Returns the (3M, rows/M * w) view of ``out`` in which
+    ``staged[c * M + i, j * w + x]`` is channel c at row j * M + i of the
+    band, so :func:`_convert` adds the M rows of each block as it converts
+    them. At M = 1 it is the (3, n) band.
+    """
+    r, w = rgb[0].shape[0] // m, rgb[0].shape[1]
+    blocks = [c.reshape(r, m, w).transpose(1, 0, 2) for c in rgb]
+    staged = np.concatenate(blocks, axis=None, out=out[: 3 * rgb[0].size])
+    return staged.reshape(3 * m, r * w)
+
+
+def _convert(weights: np.ndarray, staged: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The numerator rows ``weights`` times the staged planes, into the front of ``out``.
+
+    Convert-first's weights repeat each coefficient M times, so one
+    product converts a band and adds the M rows of each block: its rows
+    are the planes of row sums. Every product and partial sum is an
+    integer exact in the weights' dtype (:func:`_arithmetic`), so neither
+    the order of the sums nor an FMA in BLAS changes a bit.
+    """
+    n = staged.shape[1]
+    return np.matmul(weights, staged, out=out[: len(weights) * n].reshape(-1, n))
+
+
+def _finish(
+    totals: np.ndarray, shifts: list, divisor: float, exponent: list, out: np.ndarray
+) -> np.ndarray:
+    """A band's k output planes from its limbs' planes of block sums, into ``out``.
+
+    A second limb's k planes in ``totals`` are shifted and added to the
+    first's in place, which rounds once; the first k are then divided by
+    the divisor in float64 and scaled by 2^exponent, one call each per
+    band. A decimal matrix has one limb and no exponent: it only divides.
+    """
+    k = len(out)
+    for i, shift in enumerate(shifts, 1):
+        low = totals[i * k : (i + 1) * k]
+        totals[:k] += np.ldexp(low, shift, out=low)
+    # dtype: a float32 sum divided by a Python float would round in float32
+    np.divide(totals[:k], divisor, out=out, dtype=np.float64)
+    for e in exponent:
+        np.ldexp(out, e, out=out)
+    return out
+
+
 def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     """Run the ordering ``plan.strategy`` names and count both stages.
 
     An image shorter or narrower than M is rejected before any work. The
     boundary policy then applies once: each channel is cropped to a view
-    of its ``(h - h % M) x (w - w % M)`` whole blocks, and both orderings
-    work one band of whole block rows at a time (see :func:`_band_rows`).
+    of its ``(h - h % M) x (w - w % M)`` whole blocks. Both orderings work
+    one band of whole block rows at a time (:func:`_band_rows`), in
+    buffers sized once for the largest band, and each band runs one
+    sequence of stages:
 
-    Both orderings run on integers held in floats (:func:`_arithmetic`),
-    with the requested numerator rows of each limb: k for a decimal
-    matrix, 2k for a limbed one.
+    * convert-first: :func:`_stage`, :func:`_convert`, :func:`_column_sums`
+      (only at M >= 2) and :func:`_finish`;
+    * downsample-first: :func:`_integer_block_sum` on each RGB plane, into
+      its third of the staging array, then :func:`_convert` and
+      :func:`_finish`. At M = 1 it runs convert-first's sequence.
 
-    * convert-first stages the band's three planes in one (3M, rows/M *
-      w) array whose row c * M + i holds row i of every block row of
-      channel c. The numerator rows, each coefficient repeated M times,
-      multiply it in one matrix product, which converts every sample and
-      adds the M rows of each block, so its output is the planes of row
-      sums. ``_column_sums`` adds their M columns in one more product,
-      with M ones. At M = 1 the product is the conversion alone, and
-      downsample-first runs it too;
-    * downsample-first block-sums each uint8 plane with
-      ``_integer_block_sum`` (one reduction of the M rows of each block,
-      then ``_column_sums``) straight into the staging array, and converts
-      the three planes of sums in one matrix product with the numerator rows.
-
-    Every partial sum is an exact integer, so both orderings build the
-    same integers in any order. Both then add a second limb's planes,
-    shifted, to the first's and scale the k requested planes, in float64
-    and one call per band, into their rows of one (k, h/M, w/M) array,
-    whose views the result holds; so their outputs are identical. No
-    full-size intermediate is ever built. The samples each band
-    converts, block-sums and scales are counted as it runs them, and
-    :func:`_stage_ops` prices them as :func:`predict_ops` does.
+    Both convert with the requested numerator rows of each limb
+    (:func:`_arithmetic`) and build the same exact integers, so their
+    outputs are identical. The samples each band converts, block-sums and
+    scales are counted, and :func:`_stage_ops` prices them as
+    :func:`predict_ops` does.
     """
     m = plan.spec.factor
     h, w = image.height, image.width
@@ -416,7 +438,7 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     wanted = [row for i, row in enumerate(numerators) if flags[i % 3]]
     shifts = [np.reshape(x, (3, 1, 1))[flags] for x in shifts]
     exponent = [np.reshape(x, (3, 1, 1))[flags] for x in exponent]
-    full_resolution = plan.strategy is Strategy.CONVERT_FIRST or m == 1
+    full_resolution = _full_resolution(plan)
     weights = np.array(wanted, row_t if full_resolution else sum_t)
     # Every band is staged, converted and block-summed in the same buffers, sized
     # for the largest band. Fresh buffers per band made glibc's default malloc
@@ -440,53 +462,31 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         # block sums 255 M^2, summed in float32 below 2^24 into staging
         rows = np.empty(rows_max // m * w, np.min_scalar_type(255 * m))
         columns = np.empty(rows.size, np.float32 if 255 * m * m < 1 << 24 else np.float64)
-
-    def convert(staged: np.ndarray) -> np.ndarray:
-        """The weights times the staged planes."""
-        # every product and partial sum is an integer exact in the weights'
-        # dtype, so neither the order of the sums nor an FMA in BLAS changes a bit
-        n = staged.shape[1]
-        return np.matmul(weights, staged, out=product[: len(weights) * n].reshape(-1, n))
-
     # samples converted (of one plane), block sums, and samples scaled
     n_converted = n_summed = n_scaled = 0
     for a in range(0, h, step):
         b = a + step
         rgb = [c[a:b] for c in cropped]
-        reduced = (rgb[0].shape[0] // m, w // m)
-        n = reduced[0] * reduced[1]
+        r = rgb[0].shape[0] // m
+        n = r * (w // m)
         # Up to the limb add, every cast, sum and product is of integers exact
         # in their dtype, so none is invalid; OpenBLAS's SkylakeX sgemv raises
         # that flag anyway (README, "Exact integer path"), so it alone is ignored.
         with np.errstate(invalid="ignore"):
             if full_resolution:
-                # staged[c * M + i, j * w + x] is channel c at row j * M + i of
-                # the band, so row j of the product is block row j's row sums
-                r = reduced[0]
-                blocks = [c.reshape(r, m, w).transpose(1, 0, 2) for c in rgb]
-                staged = np.concatenate(blocks, axis=None, out=staging[: 3 * rgb[0].size])
-                band = convert(staged.reshape(3 * m, r * w))
+                band = _convert(weights, _stage(rgb, m, staging), product)
                 n_converted += rgb[0].size
                 if m > 1:
                     band = _column_sums(band, m, columns, block_sums[: len(band) * n])
                     n_summed += k * n
-                totals = band.reshape(-1, *reduced)
             else:
                 for i, c in enumerate(rgb):
                     _integer_block_sum(c, m, rows, columns, staging[i * n : (i + 1) * n])
                 n_summed += 3 * n
-                totals = convert(staging[: 3 * n].reshape(3, n)).reshape(-1, *reduced)
+                band = _convert(weights, staging[: 3 * n].reshape(3, n), product)
                 n_converted += n
-        # no iteration here or below for a decimal matrix: one limb, no exponent
-        for i, shift in enumerate(shifts, 1):
-            low = totals[i * k : (i + 1) * k]
-            totals[:k] += np.ldexp(low, shift, out=low)
-        scaled = planes[:, a // m : b // m]
-        # dtype: a float32 sum divided by a Python float would round in float32
-        np.divide(totals[:k], divisor, out=scaled, dtype=np.float64)
-        for e in exponent:
-            np.ldexp(scaled, e, out=scaled)
-        n_scaled += scaled.size
+        totals = band.reshape(-1, r, w // m)
+        n_scaled += _finish(totals, shifts, divisor, exponent, planes[:, a // m : b // m]).size
     ops = _stage_ops(m, k, n_converted, n_summed, n_scaled)
     return PreprocessedChannels(*outputs, plan=plan, ops=ops)
 

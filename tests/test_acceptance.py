@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from iqprep.bench import emit_report
 from iqprep.colorspace import ChannelSet, builtin_matrices, builtin_matrix, transform

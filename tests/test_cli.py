@@ -1,7 +1,6 @@
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from iqprep import cli, pipeline

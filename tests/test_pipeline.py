@@ -545,6 +545,16 @@ def test_banded_convert_first_equals_whole_plane_stages(height, width, factor, n
             assert result.ops == result.plan.predicted
 
 
+def _recording(log, function):
+    """``function``, appending its name to ``log`` at each call."""
+
+    def wrapper(*args, **kwargs):
+        log.append(function.__name__)
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.mark.parametrize("height, width", [(3, 50000), (40000, 3), (2, 2)])
 def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, width):
     # either ordering rejects such an image before converting or summing
@@ -557,23 +567,46 @@ def test_convert_first_plane_smaller_than_filter_raises(monkeypatch, height, wid
         block_mean_decimate(np.zeros((height, width), dtype=np.uint8), spec)
     img = synth_image(height, width, 1)
     touched = []
-
-    def recording(function):
-        def wrapper(*args, **kwargs):
-            touched.append(args[0].shape)
-            return function(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(pipeline, "transform", recording(transform))
-    monkeypatch.setattr(pipeline, "_integer_block_sum", recording(pipeline._integer_block_sum))
-    monkeypatch.setattr(pipeline, "_column_sums", recording(pipeline._column_sums))
-    monkeypatch.setattr(np, "matmul", recording(np.matmul))
+    monkeypatch.setattr(pipeline, "transform", _recording(touched, transform))
+    for name in ("_integer_block_sum", "_column_sums"):
+        monkeypatch.setattr(pipeline, name, _recording(touched, getattr(pipeline, name)))
+    monkeypatch.setattr(np, "matmul", _recording(touched, np.matmul))
     for matrix in (builtin_matrix("yiq"), THIRD):
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST):
             with pytest.raises(ValueError, match=re.escape(str(whole_plane.value))):
                 preprocess(img, matrix, LUMA, strategy, spec)
     assert touched == []
+
+
+# a downsample-first block sum adds its columns in _column_sums
+BLOCK_SUM = ["_integer_block_sum", "_column_sums"]
+
+
+@pytest.mark.parametrize(
+    "factor, strategy, band",
+    [
+        (3, Strategy.CONVERT_FIRST, ["_stage", "_convert", "_column_sums", "_finish"]),
+        (3, Strategy.DOWNSAMPLE_FIRST, [*BLOCK_SUM * 3, "_convert", "_finish"]),
+        (1, Strategy.CONVERT_FIRST, ["_stage", "_convert", "_finish"]),
+        (1, Strategy.DOWNSAMPLE_FIRST, ["_stage", "_convert", "_finish"]),
+    ],
+)
+def test_every_band_runs_its_orderings_stage_sequence(monkeypatch, factor, strategy, band):
+    # each stage is looked up on the module at every call, so wrappers
+    # installed there see the whole of each band's work, band after band
+    calls = []
+    for name in ("_stage", "_convert", "_column_sums", "_integer_block_sum", "_finish"):
+        monkeypatch.setattr(pipeline, name, _recording(calls, getattr(pipeline, name)))
+    img = synth_image(301, 517, 1)
+    spec = DownsampleSpec(factor)
+    for matrix in (builtin_matrix("yiq"), THIRD):
+        plan = plan_pipeline(img.height, img.width, matrix, ALL, spec, strategy)
+        bands = range(0, 301 - 301 % factor, pipeline._band_rows(plan, 517 - 517 % factor))
+        assert len(bands) > 1
+        calls.clear()
+        preprocess(img, matrix, ALL, strategy, spec)
+        assert calls == band * len(bands)
+        assert calls.count("_finish") == len(bands)
 
 
 def test_convert_first_never_holds_a_full_resolution_float_plane():
