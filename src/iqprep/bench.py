@@ -108,6 +108,24 @@ def _evaluate(
     return pre_ref.ops + pre_dst.ops
 
 
+def _time_orderings(
+    ref, dst, config: PipelineConfig, spec: DownsampleSpec, reps: int
+) -> tuple[dict[Strategy, StageOps], dict[Strategy, list[float]]]:
+    """Each ordering's counters from one untimed warm-up, then ``reps`` timings of each, in ms."""
+    ops = {s: _evaluate(ref, dst, config, s, spec) for s in _STRATEGIES}  # warm-ups
+    elapsed: dict[Strategy, list[float]] = {s: [] for s in _STRATEGIES}
+    for rep in range(reps):
+        # CF DF, then DF CF, ...: neither ordering always runs on
+        # the heap the other left
+        for strategy in _STRATEGIES[:: -1 if rep % 2 else 1]:
+            start = time.perf_counter()
+            _evaluate(ref, dst, config, strategy, spec)
+            elapsed[strategy].append((time.perf_counter() - start) * 1e3)
+    if min(map(min, elapsed.values())) <= 0.0:
+        raise RuntimeError("timer returned a non-positive duration")
+    return ops, elapsed
+
+
 def run_bench(sizes: list[tuple[int, int]], seed: int = 1, reps: int = 5) -> list[BenchRecord]:
     """Time every default pipeline under both strategies at every size.
 
@@ -131,17 +149,7 @@ def run_bench(sizes: list[tuple[int, int]], seed: int = 1, reps: int = 5) -> lis
         ref = synth_image(height, width, seed)
         dst = synth_image(height, width, seed + 1)
         for config in default_pipelines():
-            ops = {s: _evaluate(ref, dst, config, s, spec) for s in _STRATEGIES}  # warm-ups
-            elapsed: dict[Strategy, list[float]] = {s: [] for s in _STRATEGIES}
-            for rep in range(reps):
-                # CF DF, then DF CF, ...: neither ordering always runs on
-                # the heap the other left
-                for strategy in _STRATEGIES[:: -1 if rep % 2 else 1]:
-                    start = time.perf_counter()
-                    _evaluate(ref, dst, config, strategy, spec)
-                    elapsed[strategy].append((time.perf_counter() - start) * 1e3)
-            if min(map(min, elapsed.values())) <= 0.0:
-                raise RuntimeError("timer returned a non-positive duration")
+            ops, elapsed = _time_orderings(ref, dst, config, spec, reps)
             cf_ms, df_ms = (statistics.median(elapsed[s]) for s in _STRATEGIES)
             records.extend(
                 BenchRecord(

@@ -174,16 +174,17 @@ def write_pnm(image: RgbImage8, path: str | os.PathLike) -> None:
         fh.write(payload)
 
 
-# SplitMix64 constants (Steele, Lea & Flood; the public-domain reference
-# generator). Chosen because it is tiny, has a closed-form i-th output, and
-# is exactly reproducible from integer ops alone on any platform.
+# SplitMix64 constants (Steele, Lea & Flood, OOPSLA 2014; the public-domain
+# reference generator). Chosen because it is tiny, has a closed-form i-th
+# output, and is exactly reproducible from integer ops alone on any platform.
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 # Samples generated per step of synth_image; a call holds three uint64
 # buffers of this length (768 KiB). 2**15 ties 2**16 with half the memory;
-# 2**14 is slower at 2160x3840 and 2**17 at every size measured.
+# 2**14 is slower at 2160x3840, and from 2**17 on, where three 1 MiB buffers
+# crowd a 4 MiB L2, every size measured is slower.
 _SYNTH_CHUNK = 1 << 15
 
 

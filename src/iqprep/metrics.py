@@ -203,7 +203,8 @@ def _tile_sums(
 
 # score() builds its maps over row tiles of about this many samples (256 KB
 # per float64 map), so a tile's maps stay in cache and no plane-sized map
-# is built. README's "Metric layer" gives the sweep behind the size.
+# is built. 2^16 was 3-5 % faster at 270x480 but holds two and a half
+# planes of maps; 2^14 and below were slower at both plane sizes measured.
 _TILE_SAMPLES = 1 << 15
 
 

@@ -20,7 +20,7 @@ Both orderings sum integers, so they commute exactly: their outputs are
 bit-identical for every matrix. :func:`_arithmetic` picks the integers
 and their exact float dtypes, :func:`_execute` runs each ordering as a
 sequence of the same band stages, and :func:`_band_rows` sizes the bands
-(README, "Exact integer path" and "Banded preprocessing").
+(README, "Exact integer path").
 
 This module holds the package's one op model: :func:`_execute` counts
 the samples each band converts, block-sums and scales, :func:`predict_ops`
@@ -239,7 +239,11 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
     that the block sums' scratch stays as small as a convert-first band.
     Its bands are therefore much taller, which keeps the numpy calls per
     image few: with 2^16 input samples per band, call overhead more than
-    doubled the time of a 4K image at M = 8.
+    doubled the time of a 4K image at M = 8. M^2 * 2^15 input samples
+    were as fast but double the band's intermediates. Without the cap,
+    the uint16 row sums and their float32 copy raised perfbench's full-4k
+    ``peak_mb`` to 8.01 MB, above the 7.80 MB that ``score`` sets; the cap
+    leaves M <= 4 as it was.
     """
     m = plan.spec.factor
     samples = 1 << 16 if _full_resolution(plan) else min(m * m << 14, m << 16)
@@ -390,7 +394,8 @@ def _finish(
     for i, shift in enumerate(shifts, 1):
         low = totals[i * k : (i + 1) * k]
         totals[:k] += np.ldexp(low, shift, out=low)
-    # dtype: a float32 sum divided by a Python float would round in float32
+    # dtype: a float32 sum divided by a Python float would round in float32,
+    # under NEP 50 (numpy 2) and numpy 1.24's value-based casting alike
     np.divide(totals[:k], divisor, out=out, dtype=np.float64)
     for e in exponent:
         np.ldexp(out, e, out=out)
@@ -404,8 +409,8 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     boundary policy then applies once: each channel is cropped to a view
     of its ``(h - h % M) x (w - w % M)`` whole blocks. Both orderings work
     one band of whole block rows at a time (:func:`_band_rows`), in
-    buffers sized once for the largest band, and each band runs one
-    sequence of stages:
+    buffers sized once for the largest band, so neither holds a full-size
+    intermediate, and each band runs one sequence of stages:
 
     * convert-first: :func:`_stage`, :func:`_convert`, :func:`_column_sums`
       (only at M >= 2) and :func:`_finish`;
@@ -442,7 +447,8 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     weights = np.array(wanted, row_t if full_resolution else sum_t)
     # Every band is staged, converted and block-summed in the same buffers, sized
     # for the largest band. Fresh buffers per band made glibc's default malloc
-    # trim and re-fault its heap (README, "Benchmark protocol").
+    # trim and re-fault its heap on every band: 31440 minor faults per
+    # evaluation at 1080x1920, 3 channels.
     rows_max = min(step, h)
     if full_resolution:
         # Each numerator is repeated for the M rows of a block, so the
@@ -470,8 +476,10 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
         r = rgb[0].shape[0] // m
         n = r * (w // m)
         # Up to the limb add, every cast, sum and product is of integers exact
-        # in their dtype, so none is invalid; OpenBLAS's SkylakeX sgemv raises
-        # that flag anyway (README, "Exact integer path"), so it alone is ignored.
+        # in their dtype, so none is invalid; OpenBLAS 0.3.31's SkylakeX sgemv
+        # raises that flag anyway, with an exact result, on a float32 (n, 5)
+        # product with five ones, n % 4 in (2, 3), when the stack memory it
+        # reads into discarded lanes holds a signalling NaN. So it alone is ignored.
         with np.errstate(invalid="ignore"):
             if full_resolution:
                 band = _convert(weights, _stage(rgb, m, staging), product)

@@ -9,12 +9,11 @@ import hashlib
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from iqprep.bench import emit_report
+from iqprep.bench import PipelineConfig, _time_orderings, emit_report
 from iqprep.colorspace import ChannelSet, builtin_matrices, builtin_matrix, transform
 from iqprep.downsample import (
     DownsampleSpec,
@@ -131,28 +130,6 @@ def test_c4_downsampling_parity():
     _passed(4, "downsampling parity", "filter counters equal, 3 full-res passes each")
 
 
-def _median_eval_ms(size, seed, strategy, reps):
-    height, width = size
-    ref = synth_image(height, width, seed)
-    dst = synth_image(height, width, seed + 1)
-    spec = compute_factor(height, width)
-    matrix = builtin_matrix("yiq")
-    runner = run_convert_first if strategy is Strategy.CONVERT_FIRST else run_downsample_first
-
-    def evaluate():
-        pre_ref = runner(ref, matrix, ALL, spec)
-        pre_dst = runner(dst, matrix, ALL, spec)
-        score(pre_ref, pre_dst)
-
-    evaluate()  # warm-up, untimed
-    elapsed = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        evaluate()
-        elapsed.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(elapsed)
-
-
 def test_c5_wall_clock_direction():
     """Downsample-first wins on the clock at 4K, and more than at 384x512.
 
@@ -160,11 +137,16 @@ def test_c5_wall_clock_direction():
     not reproducible; only the ordering and the >= 1.1 threshold are
     asserted, from medians of 5 repetitions with a warm-up pass.
     """
-    reps = 5
+    yiq_full = PipelineConfig("yiq-full", builtin_matrix("yiq"), ALL)
     speedups = {}
     for size in [(384, 512), (2160, 3840)]:
-        cf_ms = _median_eval_ms(size, seed=1, strategy=Strategy.CONVERT_FIRST, reps=reps)
-        df_ms = _median_eval_ms(size, seed=1, strategy=Strategy.DOWNSAMPLE_FIRST, reps=reps)
+        ref, dst = synth_image(*size, seed=1), synth_image(*size, seed=2)
+        # iqprep bench's loop: one warm-up each, then the orderings alternate
+        _, elapsed = _time_orderings(ref, dst, yiq_full, compute_factor(*size), reps=5)
+        cf_ms, df_ms = (
+            statistics.median(elapsed[s])
+            for s in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+        )
         speedups[size] = cf_ms / df_ms
     assert speedups[(2160, 3840)] > 1.0, "downsample-first must be strictly faster at 4K"
     assert speedups[(2160, 3840)] >= 1.1
