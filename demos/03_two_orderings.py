@@ -16,8 +16,7 @@ from iqprep import (
     DownsampleSpec,
     Strategy,
     builtin_matrices,
-    run_convert_first,
-    run_downsample_first,
+    preprocess,
     score,
     select_strategy,
     synth_image,
@@ -34,15 +33,15 @@ for matrix in builtin_matrices():
     print(f"{matrix.name}: max per-channel |difference| =", report.per_channel,
           "->", "OK" if report.passed else "VIOLATION")
 
-# The scores built on top are therefore identical as well.
+# The scores built on top are therefore identical as well. preprocess
+# runs the ordering its Strategy names, here each one explicitly.
 matrix = builtin_matrices()[0]
-score_cf = score(
-    run_convert_first(ref, matrix, spec=spec),
-    run_convert_first(dst, matrix, spec=spec),
-)
-score_df = score(
-    run_downsample_first(ref, matrix, spec=spec),
-    run_downsample_first(dst, matrix, spec=spec),
+score_cf, score_df = (
+    score(
+        preprocess(ref, matrix, strategy=strategy, spec=spec),
+        preprocess(dst, matrix, strategy=strategy, spec=spec),
+    )
+    for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
 )
 print(f"score convert-first    : {score_cf.value:.15f}")
 print(f"score downsample-first : {score_df.value:.15f}")
@@ -60,5 +59,6 @@ for channels, label in [
         choice = select_strategy(channels, DownsampleSpec(factor))
         print(f"{label}, M={factor}: {choice.value}")
 
-# AUTO is never executed as-is; it always resolves first.
+# AUTO, preprocess's default, is never executed as-is; it always
+# resolves first.
 assert select_strategy(ChannelSet.all_channels(), spec) is Strategy.DOWNSAMPLE_FIRST

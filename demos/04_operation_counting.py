@@ -3,9 +3,9 @@ Exact operation counters
 ========================
 
 Wall-clock numbers depend on hardware; multiply/add counts do not. Every
-pipeline run is instrumented, the counts match closed-form predictions
-exactly, and the conversion stage shrinks by exactly M^2 when it runs
-after the reduction.
+run of preprocess is instrumented, under either ordering, the counts
+match closed-form predictions exactly, and the conversion stage shrinks
+by exactly M^2 when it runs after the reduction.
 """
 
 from iqprep import (
@@ -15,8 +15,7 @@ from iqprep import (
     compute_factor,
     plan_pipeline,
     predict_ops,
-    run_convert_first,
-    run_downsample_first,
+    preprocess,
     synth_image,
 )
 
@@ -27,8 +26,10 @@ print(f"{'size':>12} {'M':>2} {'conv-first mul':>16} {'down-first mul':>16} {'ra
 for height, width in [(384, 512), (1080, 1920), (2160, 3840)]:
     spec = compute_factor(height, width)
     img = synth_image(height, width, seed=1)
-    cf = run_convert_first(img, matrix, channels, spec)
-    df = run_downsample_first(img, matrix, channels, spec)
+    cf, df = (
+        preprocess(img, matrix, channels, strategy, spec)
+        for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
+    )
 
     # instrumented counts equal the attached predictions, always
     assert cf.ops == cf.plan.predicted

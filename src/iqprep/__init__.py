@@ -25,8 +25,6 @@ from iqprep.pipeline import (
     plan_pipeline,
     predict_ops,
     preprocess,
-    run_convert_first,
-    run_downsample_first,
     select_strategy,
     verify_equivalence,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "plan_pipeline",
     "predict_ops",
     "preprocess",
-    "run_convert_first",
-    "run_downsample_first",
     "score",
     "select_strategy",
     "separate_filter_then_decimate",

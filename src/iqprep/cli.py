@@ -10,6 +10,7 @@ into ``error: <message>`` on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from iqprep.bench import emit_report, run_bench
@@ -80,15 +81,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_bench(args) -> int:
     if not args.sizes:
         raise ValueError("--sizes must name at least one HxW size")
+    # Appending nothing to the CSV fails an unwritable path before anything
+    # is timed; a file this creates is removed, so an input error leaves none.
+    new = not os.path.lexists(args.out)
+    _write(args.out, "a", "")
+    if new:
+        os.remove(args.out)
     report = emit_report(run_bench(args.sizes, seed=args.seed, reps=args.reps))
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.csv)
-    except OSError as exc:
-        raise OSError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, "w", report.csv)
     print(report.markdown)
     print(f"CSV written to {args.out}")
     return 0
+
+
+def _write(path: str, mode: str, text: str) -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:

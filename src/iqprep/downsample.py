@@ -114,7 +114,7 @@ def block_mean_decimate(plane: np.ndarray, spec: DownsampleSpec) -> np.ndarray:
     Raises
     ------
     ValueError
-      If the plane is smaller than M in either axis (for M > 1).
+      If the plane is not 2-D, or smaller than M in either axis (M > 1).
     """
     m = spec.factor
     p = _as_plane(plane, m)

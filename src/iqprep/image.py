@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def _index(value, name: str) -> int:
+    """``operator.index(value)``, except that a bool is not an integer here."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class RgbImage8:
     """8-bit three-channel raster in planar R/G/B layout.
@@ -49,7 +56,7 @@ class RgbImage8:
 
     def __post_init__(self) -> None:
         for name in ("height", "width"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.height < 1 or self.width < 1:
             raise ValueError(
                 f"image dimensions must be >= 1, got {self.height}x{self.width}"
@@ -209,7 +216,7 @@ def synth_image(height: int, width: int, seed: int) -> RgbImage8:
     -------
     RgbImage8
     """
-    height, width, seed = operator.index(height), operator.index(width), operator.index(seed)
+    height, width, seed = _index(height, "height"), _index(width, "width"), _index(seed, "seed")
     if height < 1 or width < 1:
         raise ValueError(f"image dimensions must be >= 1, got {height}x{width}")
     total = 3 * height * width

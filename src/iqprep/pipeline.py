@@ -26,9 +26,9 @@ This module holds the package's one op model: :func:`_execute` counts
 the samples each band converts, block-sums and scales, :func:`predict_ops`
 gives the same numbers in closed form, and both price them with one
 helper, so the cost claims are checkable without a stopwatch.
-:func:`plan_pipeline` is the only place that defaults the factor M and
-resolves ``Strategy.AUTO``; every entry point then runs its plan through
-one executor.
+:func:`preprocess` is the one entry point that runs an ordering: it
+plans with :func:`plan_pipeline`, the only place that defaults the
+factor M and resolves ``Strategy.AUTO``, then runs one executor.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ __all__ = [
     "select_strategy",
     "predict_ops",
     "plan_pipeline",
-    "run_convert_first",
-    "run_downsample_first",
     "preprocess",
     "channel_differences",
     "tolerance_rule",
@@ -499,26 +497,6 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
     return PreprocessedChannels(*outputs, plan=plan, ops=ops)
 
 
-def run_convert_first(
-    image: RgbImage8,
-    matrix: ColorMatrix,
-    channels: ChannelSet = ChannelSet.all_channels(),
-    spec: DownsampleSpec | None = None,
-) -> PreprocessedChannels:
-    """Conventional order: transform at full resolution, then reduce each channel."""
-    return preprocess(image, matrix, channels, Strategy.CONVERT_FIRST, spec)
-
-
-def run_downsample_first(
-    image: RgbImage8,
-    matrix: ColorMatrix,
-    channels: ChannelSet = ChannelSet.all_channels(),
-    spec: DownsampleSpec | None = None,
-) -> PreprocessedChannels:
-    """Suggested order: reduce the three RGB planes, then transform the small ones."""
-    return preprocess(image, matrix, channels, Strategy.DOWNSAMPLE_FIRST, spec)
-
-
 def preprocess(
     image: RgbImage8,
     matrix: ColorMatrix,
@@ -588,9 +566,9 @@ def verify_equivalence(
     acceptance criterion c1's.
     """
     within = tolerance_rule(tolerance)
-    pair = (
-        run_convert_first(image, matrix, channels, spec),
-        run_downsample_first(image, matrix, channels, spec),
+    pair = tuple(
+        preprocess(image, matrix, channels, strategy, spec)
+        for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
     )
     per_channel = channel_differences(pair)
     return EquivalenceReport(

@@ -23,12 +23,7 @@ from iqprep.downsample import (
 )
 from iqprep.image import load_pnm, synth_image, write_pnm
 from iqprep.metrics import score
-from iqprep.pipeline import (
-    Strategy,
-    run_convert_first,
-    run_downsample_first,
-    select_strategy,
-)
+from iqprep.pipeline import Strategy, preprocess, select_strategy
 
 DATA_DIR = Path(__file__).parent / "data"
 TABLE_SIZES = [(384, 512), (1080, 1920), (2160, 3840)]
@@ -61,10 +56,10 @@ def test_c1_strategy_equivalence_randomized():
         ref = synth_image(height, width, seed)
         dst = synth_image(height, width, seed + 1)
 
-        cf_ref = run_convert_first(ref, matrix, channels, spec)
-        cf_dst = run_convert_first(dst, matrix, channels, spec)
-        df_ref = run_downsample_first(ref, matrix, channels, spec)
-        df_dst = run_downsample_first(dst, matrix, channels, spec)
+        cf_ref = preprocess(ref, matrix, channels, Strategy.CONVERT_FIRST, spec)
+        cf_dst = preprocess(dst, matrix, channels, Strategy.CONVERT_FIRST, spec)
+        df_ref = preprocess(ref, matrix, channels, Strategy.DOWNSAMPLE_FIRST, spec)
+        df_dst = preprocess(dst, matrix, channels, Strategy.DOWNSAMPLE_FIRST, spec)
 
         for cf, df in ((cf_ref, df_ref), (cf_dst, df_dst)):
             for a, b in zip(cf.planes, df.planes):
@@ -105,8 +100,8 @@ def test_c3_conversion_cost_reduction():
         spec = compute_factor(height, width)
         m = spec.factor
         img = synth_image(height, width, 1)
-        df = run_downsample_first(img, builtin_matrix("yiq"), ALL, spec)
-        cf = run_convert_first(img, builtin_matrix("yiq"), ALL, spec)
+        df = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.DOWNSAMPLE_FIRST, spec)
+        cf = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.CONVERT_FIRST, spec)
         k = ALL.count
         assert df.ops.conversion.multiplies == height * width * 3 * k // (m * m)
         assert cf.ops.conversion.multiplies == height * width * 3 * k
@@ -122,8 +117,8 @@ def test_c4_downsampling_parity():
     for height, width in [(384, 512), (123, 97)]:
         spec = DownsampleSpec(compute_factor(height, width).factor if height >= 256 else 3)
         img = synth_image(height, width, 2)
-        cf = run_convert_first(img, builtin_matrix("lmn"), ALL, spec)
-        df = run_downsample_first(img, builtin_matrix("lmn"), ALL, spec)
+        cf = preprocess(img, builtin_matrix("lmn"), ALL, Strategy.CONVERT_FIRST, spec)
+        df = preprocess(img, builtin_matrix("lmn"), ALL, Strategy.DOWNSAMPLE_FIRST, spec)
         assert cf.ops.filtering == df.ops.filtering
         per_plane_mul = (height // spec.factor) * (width // spec.factor)
         assert cf.ops.filtering.multiplies == 3 * per_plane_mul

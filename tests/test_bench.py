@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -122,6 +123,12 @@ def test_timed_repetitions_alternate_the_orderings(monkeypatch):
     cf, df = Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST
     assert sequence == [cf, df, cf, df, df, cf, cf, df]
     assert [r.strategy for r in records] == [cf, df]
+
+
+def test_a_stopped_clock_is_an_error(monkeypatch):
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: 1.0))
+    with pytest.raises(RuntimeError, match="non-positive duration"):
+        run_bench([(8, 8)], reps=3)
 
 
 def test_ranking_reads_the_first_record_of_each_cell():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from iqprep import cli, pipeline
+from iqprep import bench, cli, pipeline
 from iqprep.cli import _build_parser, main
 from iqprep.image import synth_image, write_pnm
 
@@ -260,9 +260,15 @@ def test_bench_default_sizes_are_parsed():
 
 
 def test_bench_rejects_bad_size_syntax(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--sizes", "384by512"])
-    assert excinfo.value.code == 2
+    for argv, message in (
+        (["bench", "--sizes", "384by512"], "expected HxW, got '384by512'"),
+        (["bench", "--sizes", "64x64,0x5"], "dimensions must be >= 1, got '0x5'"),
+        (["verify", "--size", "0x5"], "dimensions must be >= 1, got '0x5'"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_bench_rejects_low_reps(capsys):
@@ -277,13 +283,16 @@ def test_bench_rejects_empty_size_list(capsys):
     assert "at least one" in err
 
 
-def test_bench_unwritable_output(capsys, tmp_path):
+def test_bench_unwritable_output(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "_evaluate", lambda *args: calls.append(args))
     target = tmp_path / "missing" / "report.csv"
     code, _, err = run_cli(
         capsys, "bench", "--sizes", "8x8", "--reps", "3", "--out", str(target)
     )
     assert code == 2
     assert "cannot write" in err
+    assert calls == []  # it fails before anything is timed
 
 
 ERROR_PATHS = {

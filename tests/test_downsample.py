@@ -84,6 +84,13 @@ def test_literal_path_factor_one_identity():
     assert np.array_equal(separate_filter_then_decimate(plane, DownsampleSpec(1)), plane)
 
 
+def test_plane_must_be_2d():
+    for reduce in (block_mean_decimate, separate_filter_then_decimate):
+        for factor in (1, 2):
+            with pytest.raises(ValueError, match=r"expected a 2-D plane, got shape \(4, 4, 3\)"):
+                reduce(np.zeros((4, 4, 3), np.uint8), DownsampleSpec(factor))
+
+
 @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)])
 def test_plane_smaller_than_filter_raises(shape):
     # both reducers reject a float or a uint8 plane with the same message

@@ -100,6 +100,11 @@ def test_truncated_payload_names_offset(tmp_path):
         load_pnm(path)
     assert "byte" in str(excinfo.value)
     assert excinfo.value.offset == 11 + 11
+    # a header cut off right after the maxval has no separator byte
+    path.write_bytes(b"P6\n1 1\n255")
+    with pytest.raises(PnmParseError, match="missing whitespace after maxval") as excinfo:
+        load_pnm(path)
+    assert excinfo.value.offset == 10
 
 
 def test_bad_magic(tmp_path):
@@ -232,13 +237,22 @@ def test_integer_like_sizes_and_seeds_act_as_python_ints():
 
 def test_non_integer_sizes_and_seeds_are_rejected():
     chan = np.zeros((4, 4), dtype=np.uint8)
+    one = np.ones((1, 1), dtype=np.uint8)
     for height, width in ((4.0, 4), (4, 4.0)):
         with pytest.raises(TypeError):
             RgbImage8(height, width, chan, chan, chan)
         with pytest.raises(TypeError):
             synth_image(height, width, 1)
-    with pytest.raises(TypeError):
-        synth_image(4, 4, 1.0)
+    # a bool is an int to Python, but not a size or a seed
+    for height, width in ((True, 4), (4, True), (np.True_, 4)):
+        with pytest.raises(TypeError):
+            synth_image(height, width, 1)
+    for height, width in ((True, True), (np.True_, 1)):
+        with pytest.raises(TypeError):
+            RgbImage8(height, width, one, one, one)
+    for seed in (1.0, True, False, np.True_):
+        with pytest.raises(TypeError):
+            synth_image(4, 4, seed)
 
 
 def splitmix64_top_byte(seed, i):

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import math
 import re
 import struct
@@ -30,8 +31,6 @@ from iqprep.pipeline import (
     plan_pipeline,
     predict_ops,
     preprocess,
-    run_convert_first,
-    run_downsample_first,
     select_strategy,
     verify_equivalence,
 )
@@ -57,19 +56,19 @@ def _float_planes(img):
 
 def test_convert_first_m1_identity_is_passthrough():
     img = synth_image(6, 7, 2)
-    result = run_convert_first(img, IDENTITY_MATRIX, ALL, DownsampleSpec(1))
+    result = preprocess(img, IDENTITY_MATRIX, ALL, Strategy.CONVERT_FIRST, DownsampleSpec(1))
     for plane, channel in zip(result.planes, _float_planes(img)):
         assert np.array_equal(plane, channel)
 
 
 def test_counter_examples_2x2_image():
     img = synth_image(2, 2, 1)
-    cf = run_convert_first(img, builtin_matrix("yiq"), ALL, DownsampleSpec(2))
+    cf = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.CONVERT_FIRST, DownsampleSpec(2))
     assert cf.ops.conversion.multiplies == 36
     assert cf.ops.filtering.adds == 3 * (2 * 2 - 1) == 9
     assert cf.ops.filtering.multiplies == 3
 
-    df = run_downsample_first(img, builtin_matrix("yiq"), ALL, DownsampleSpec(2))
+    df = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.DOWNSAMPLE_FIRST, DownsampleSpec(2))
     assert df.ops.conversion.multiplies == 9  # exactly M^2 = 4x fewer
     assert cf.ops.conversion.multiplies == df.ops.conversion.multiplies * 4
 
@@ -162,14 +161,10 @@ def test_predictions_match_instrumented_counts(strategy, factor):
         height, width = int(rng.integers(factor, 20)), int(rng.integers(factor, 20))
         img = synth_image(height, width, 5)
         spec = DownsampleSpec(factor)
+        result = preprocess(img, builtin_matrix("lmn"), channels, strategy, spec)
         if strategy is Strategy.AUTO:
-            result = preprocess(img, builtin_matrix("lmn"), channels, strategy, spec)
             assert result.plan.strategy is select_strategy(channels, spec)
         else:
-            runner = (
-                run_convert_first if strategy is Strategy.CONVERT_FIRST else run_downsample_first
-            )
-            result = runner(img, builtin_matrix("lmn"), channels, spec)
             assert result.plan.strategy is strategy
         predicted = predict_ops(height, width, channels, spec, result.plan.strategy)
         assert result.ops.conversion == predicted.conversion
@@ -188,8 +183,8 @@ def test_strategies_agree_on_384x512_seed42():
 
 def test_m1_strategies_coincide_exactly():
     img = synth_image(20, 20, 3)
-    cf = run_convert_first(img, builtin_matrix("yiq"), ALL, DownsampleSpec(1))
-    df = run_downsample_first(img, builtin_matrix("yiq"), ALL, DownsampleSpec(1))
+    cf = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.CONVERT_FIRST, DownsampleSpec(1))
+    df = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.DOWNSAMPLE_FIRST, DownsampleSpec(1))
     for a, b in zip(cf.planes, df.planes):
         assert np.array_equal(a, b)
 
@@ -197,8 +192,8 @@ def test_m1_strategies_coincide_exactly():
 def test_conversion_multiply_reduction_is_exactly_m_squared():
     img = synth_image(64, 64, 1)
     spec = DownsampleSpec(8)
-    cf = run_convert_first(img, builtin_matrix("yiq"), ALL, spec)
-    df = run_downsample_first(img, builtin_matrix("yiq"), ALL, spec)
+    cf = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.CONVERT_FIRST, spec)
+    df = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.DOWNSAMPLE_FIRST, spec)
     assert cf.ops.conversion.multiplies == 64 * df.ops.conversion.multiplies
     assert cf.ops.conversion.adds == 64 * df.ops.conversion.adds
 
@@ -206,8 +201,8 @@ def test_conversion_multiply_reduction_is_exactly_m_squared():
 def test_filtering_parity_for_three_channels():
     img = synth_image(30, 22, 6)
     spec = DownsampleSpec(3)
-    cf = run_convert_first(img, builtin_matrix("lmn"), ALL, spec)
-    df = run_downsample_first(img, builtin_matrix("lmn"), ALL, spec)
+    cf = preprocess(img, builtin_matrix("lmn"), ALL, Strategy.CONVERT_FIRST, spec)
+    df = preprocess(img, builtin_matrix("lmn"), ALL, Strategy.DOWNSAMPLE_FIRST, spec)
     assert cf.ops.filtering == df.ops.filtering
 
 
@@ -265,7 +260,7 @@ def test_preprocess_resolves_auto():
     spec = DownsampleSpec(2)
     auto = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.AUTO, spec)
     assert auto.plan.strategy is Strategy.DOWNSAMPLE_FIRST
-    explicit = run_downsample_first(img, builtin_matrix("yiq"), ALL, spec)
+    explicit = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.DOWNSAMPLE_FIRST, spec)
     for a, b in zip(auto.planes, explicit.planes):
         assert np.array_equal(a, b)
 
@@ -277,7 +272,7 @@ def test_preprocess_resolves_auto():
     sized = preprocess(img, builtin_matrix("yiq"))
     assert sized.plan.spec == compute_factor(384, 512)
     assert sized.plan.strategy is Strategy.DOWNSAMPLE_FIRST
-    explicit = run_downsample_first(img, builtin_matrix("yiq"))
+    explicit = preprocess(img, builtin_matrix("yiq"), strategy=Strategy.DOWNSAMPLE_FIRST)
     for a, b in zip(sized.planes, explicit.planes):
         assert np.array_equal(a, b)
 
@@ -353,6 +348,11 @@ def test_channel_differences_rejects_mismatched_results():
     for pair in ((tall, luma), (luma, tall)):
         with pytest.raises(ValueError, match="chroma1 present on one result only"):
             channel_differences(pair)
+    # nor can one result hold planes of two shapes: a substituted plane,
+    # as perfbench's oracle run makes them, is checked when it is built
+    disagree = r"output planes disagree on dimensions: \[\(1, 4\), \(5, 4\)\]"
+    with pytest.raises(ValueError, match=disagree):
+        dataclasses.replace(tall, chroma1=flat.chroma1)
 
 
 def test_equivalence_randomized_channel_subsets():

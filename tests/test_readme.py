@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import iqprep
 from iqprep import pipeline
 from iqprep.colorspace import ChannelSet, builtin_matrix
 from iqprep.downsample import DownsampleSpec, compute_factor
@@ -109,6 +110,10 @@ def test_ci_verify_sizes():
         _, factor, listed, _ = readme_rows[size]
         assert factor == str(compute_factor(*map(int, size.split("x"))).factor), size
         assert sorted(listed.split(", ")) == sorted(matrices), size
+
+
+def test_namespace_count():
+    assert f"namespace holds only the {len(iqprep.__all__)} names" in PROSE
 
 
 def _label(path: Path) -> int:
