@@ -21,7 +21,7 @@ if len(sys.argv) > 1:
     sizes = [tuple(int(part) for part in arg.split("x")) for arg in sys.argv[1:]]
 
 print(f"benchmarking sizes {sizes} (median of 3 repetitions + warm-up)...")
-records = run_bench(sizes, seed=1, reps=3)
+records = run_bench(sizes, reps=3)
 report = emit_report(records)
 print()
 print(report.markdown)

@@ -34,7 +34,6 @@ factor M and resolves ``Strategy.AUTO``, then runs one executor.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,7 +57,6 @@ __all__ = [
     "plan_pipeline",
     "preprocess",
     "channel_differences",
-    "tolerance_rule",
     "verify_equivalence",
 ]
 
@@ -541,16 +539,6 @@ def channel_differences(
     return per_channel
 
 
-def tolerance_rule(tolerance: float) -> Callable[[Iterable[float]], bool]:
-    """The pass rule of an equivalence check: every difference at most ``tolerance``.
-
-    NaN never passes. Raises ``ValueError`` at once unless ``0 < tolerance < inf``.
-    """
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    return lambda differences: all(d <= tolerance for d in differences)
-
-
 def verify_equivalence(
     image: RgbImage8,
     matrix: ColorMatrix,
@@ -563,9 +551,11 @@ def verify_equivalence(
     Both orderings give the same bits for every matrix, so the difference
     is exactly 0, unless a sample overflows to inf on both sides, which
     leaves NaN and fails. The default tolerance of 1e-9 absolute is
-    acceptance criterion c1's.
+    acceptance criterion c1's. Raises ``ValueError`` before running
+    either ordering unless ``0 < tolerance < inf``.
     """
-    within = tolerance_rule(tolerance)
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     pair = tuple(
         preprocess(image, matrix, channels, strategy, spec)
         for strategy in (Strategy.CONVERT_FIRST, Strategy.DOWNSAMPLE_FIRST)
@@ -575,5 +565,5 @@ def verify_equivalence(
         per_channel=per_channel,
         max_abs_diff=float(np.max(list(per_channel.values()))),
         tolerance=tolerance,
-        passed=within(per_channel.values()),
+        passed=all(d <= tolerance for d in per_channel.values()),  # NaN fails
     )

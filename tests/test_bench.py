@@ -52,7 +52,7 @@ def make_golden_records():
 
 
 def test_run_bench_record_shape_and_invariants():
-    records = run_bench([(16, 16), (20, 24)], seed=3, reps=3)
+    records = run_bench([(16, 16), (20, 24)], reps=3)
     pipelines = default_pipelines()
     assert len(records) == 2 * len(pipelines) * 2  # sizes x pipelines x strategies
     for record in records:
@@ -69,8 +69,8 @@ def test_run_bench_record_shape_and_invariants():
 
 
 def test_counters_are_deterministic_across_runs():
-    first = run_bench([(12, 18)], seed=5, reps=3)
-    second = run_bench([(12, 18)], seed=5, reps=3)
+    first = run_bench([(12, 18)], reps=3)
+    second = run_bench([(12, 18)], reps=3)
     for a, b in zip(first, second):
         assert a.conversion == b.conversion
         assert a.filtering == b.filtering
@@ -78,7 +78,7 @@ def test_counters_are_deterministic_across_runs():
 
 
 def test_m1_size_has_identical_counters_across_strategies():
-    records = run_bench([(256, 256)], seed=1, reps=3)
+    records = run_bench([(256, 256)], reps=3)
     assert len(records) == 2 * len(default_pipelines())
     for cf, df in zip(records[0::2], records[1::2]):
         assert cf.pipeline == df.pipeline

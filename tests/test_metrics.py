@@ -177,7 +177,7 @@ def test_score_strategy_invariance_seed3():
         pre_dst = preprocess(dst, matrix, ALL, strategy, DownsampleSpec(2))
         scores[strategy] = score(pre_ref, pre_dst).value
     assert spec.factor == 1  # 96x128 itself is below the size rule threshold
-    assert abs(scores[Strategy.CONVERT_FIRST] - scores[Strategy.DOWNSAMPLE_FIRST]) <= 1e-9
+    assert scores[Strategy.CONVERT_FIRST] - scores[Strategy.DOWNSAMPLE_FIRST] == 0.0
 
 
 def test_score_is_symmetric():

@@ -177,7 +177,7 @@ def test_strategies_agree_on_384x512_seed42():
     img = synth_image(384, 512, 42)
     report = verify_equivalence(img, builtin_matrix("yiq"), ALL, DownsampleSpec(2))
     assert report.passed
-    assert report.max_abs_diff <= 1e-9
+    assert report.max_abs_diff == 0.0
     assert set(report.per_channel) == {"luma", "chroma1", "chroma2"}
 
 
@@ -234,7 +234,7 @@ def test_identity_matrix_equivalence_is_exact():
 def test_equivalence_seed7_64x64():
     img = synth_image(64, 64, 7)
     report = verify_equivalence(img, builtin_matrix("yiq"), ALL, DownsampleSpec(2))
-    assert report.max_abs_diff <= 1e-10
+    assert report.max_abs_diff == 0.0
 
 
 def test_equivalence_under_adversarial_coefficients():
@@ -243,8 +243,8 @@ def test_equivalence_under_adversarial_coefficients():
         np.array([[1e3, -9.9e2, 1.0], [-1e3, 1e3, -1e3], [123.4, -567.8, 901.2]]),
     )
     img = synth_image(48, 40, 13)
-    report = verify_equivalence(img, adversarial, ALL, DownsampleSpec(4), tolerance=1e-6)
-    assert report.max_abs_diff <= 1e-6
+    report = verify_equivalence(img, adversarial, ALL, DownsampleSpec(4))
+    assert report.max_abs_diff == 0.0
     assert report.passed
 
 
