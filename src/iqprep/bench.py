@@ -16,7 +16,6 @@ import csv
 import io
 import statistics
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from iqprep.colorspace import ChannelSet, ColorMatrix, builtin_matrix
@@ -168,29 +167,26 @@ def run_bench(sizes: list[tuple[int, int]], reps: int = 5) -> list[BenchRecord]:
     return records
 
 
-def _ranking(records: Iterable[BenchRecord], size: str, strategy: Strategy) -> tuple[str, ...]:
-    rows = [r for r in records if r.size_label == size and r.strategy is strategy]
-    rows.sort(key=lambda r: (r.ms_median, r.pipeline))  # name breaks exact ties
-    return tuple(r.pipeline for r in rows)
-
-
 def emit_report(records: list[BenchRecord]) -> BenchReport:
-    """Render records as CSV (machine) and Markdown (human), deterministically.
+    """Render one complete table as CSV (machine) and Markdown (human), deterministically.
 
-    Column order and float formatting are fixed so that a counter-only run
-    with zeroed timings reproduces byte for byte. The Markdown mirrors the
-    classic run-time comparison layout: one row per pipeline, two columns
-    per size, an asterisk on the strictly faster strategy, followed by a
-    fastest-first ranking per size under each strategy with a change arrow
-    where the two orders disagree.
+    ``records`` must hold one record per (size, pipeline, strategy) over
+    every size and pipeline it names, as :func:`run_bench` returns them,
+    so the CSV and the Markdown show the same records; any other input,
+    the empty list included, raises ``ValueError``. Column order and float
+    formatting are fixed so that a counter-only run with zeroed timings
+    reproduces byte for byte. The Markdown mirrors the classic run-time
+    comparison layout: one row per pipeline, two columns per size, an
+    asterisk on the strictly faster strategy, followed by a fastest-first
+    ranking per size under each strategy with a change arrow where the
+    two orders disagree.
     """
-    if not records:
-        raise ValueError("emit_report needs at least one record")
-    cells: dict[tuple[str, str, Strategy], BenchRecord] = {}
-    for record in records:  # the first record of a cell wins
-        cells.setdefault((record.size_label, record.pipeline, record.strategy), record)
+    cells = {(r.size_label, r.pipeline, r.strategy): r for r in records}
     sizes = list(dict.fromkeys(r.size_label for r in records))
     pipelines = list(dict.fromkeys(r.pipeline for r in records))
+    complete = {(s, p, t) for s in sizes for p in pipelines for t in _STRATEGIES}
+    if not records or len(records) != len(cells) or cells.keys() != complete:
+        raise ValueError("emit_report needs one record per (size, pipeline, strategy)")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -232,12 +228,9 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
     for pipeline in pipelines:
         row = f"| {pipeline} |"
         for size in sizes:
-            cf = cells.get((size, pipeline, Strategy.CONVERT_FIRST))
-            df = cells.get((size, pipeline, Strategy.DOWNSAMPLE_FIRST))
-            cf_ms = cf.ms_median if cf else float("nan")
-            df_ms = df.ms_median if df else float("nan")
-            cf_mark = "*" if cf and df and cf_ms < df_ms else ""
-            df_mark = "*" if cf and df and df_ms < cf_ms else ""
+            cf_ms, df_ms = (cells[size, pipeline, s].ms_median for s in _STRATEGIES)
+            cf_mark = "*" if cf_ms < df_ms else ""
+            df_mark = "*" if df_ms < cf_ms else ""
             row += f" {cf_ms:.3f}{cf_mark} | {df_ms:.3f}{df_mark} |"
         lines.append(row)
     lines.append("")
@@ -245,19 +238,16 @@ def emit_report(records: list[BenchRecord]) -> BenchReport:
     lines.append("## Speedup (convert-first ms / downsample-first ms)")
     lines.append("")
     for size in sizes:
-        parts = []
-        for pipeline in pipelines:
-            record = cells.get((size, pipeline, Strategy.CONVERT_FIRST))
-            if record is not None:
-                parts.append(f"{pipeline} {record.speedup:.3f}")
+        parts = [f"{p} {cells[size, p, Strategy.CONVERT_FIRST].speedup:.3f}" for p in pipelines]
         lines.append(f"- {size}: " + ", ".join(parts))
     lines.append("")
 
     lines.append("## Ranking (fastest first)")
     lines.append("")
     for index, size in enumerate(sizes, start=1):
-        cf_order = _ranking(cells.values(), size, Strategy.CONVERT_FIRST)
-        df_order = _ranking(cells.values(), size, Strategy.DOWNSAMPLE_FIRST)
+        cf_order, df_order = (  # name breaks exact ties
+            sorted(pipelines, key=lambda p: (cells[size, p, s].ms_median, p)) for s in _STRATEGIES
+        )
         if cf_order == df_order:
             lines.append(f"{index}. {size}: {', '.join(cf_order)} (no change)")
         else:

@@ -27,8 +27,9 @@ the samples each band converts, block-sums and scales, :func:`predict_ops`
 gives the same numbers in closed form, and both price them with one
 helper, so the cost claims are checkable without a stopwatch.
 :func:`preprocess` is the one entry point that runs an ordering: it
-plans with :func:`plan_pipeline`, the only place that defaults the
-factor M and resolves ``Strategy.AUTO``, then runs one executor.
+plans with :func:`plan_pipeline`, the only place that resolves
+``Strategy.AUTO``, and which defaults M when given no spec (``run_bench``
+calls ``compute_factor`` itself), then runs one executor.
 """
 
 from __future__ import annotations
@@ -513,7 +514,6 @@ class EquivalenceReport:
 
     per_channel: dict[str, float]
     max_abs_diff: float
-    tolerance: float
     passed: bool
 
 
@@ -564,6 +564,5 @@ def verify_equivalence(
     return EquivalenceReport(
         per_channel=per_channel,
         max_abs_diff=float(np.max(list(per_channel.values()))),
-        tolerance=tolerance,
         passed=all(d <= tolerance for d in per_channel.values()),  # NaN fails
     )

@@ -131,18 +131,29 @@ def test_a_stopped_clock_is_an_error(monkeypatch):
         run_bench([(8, 8)], reps=3)
 
 
-def test_ranking_reads_the_first_record_of_each_cell():
+def test_a_repeated_cell_is_rejected():
     records = make_golden_records()
     # a later copy of every cell with the speed order of each size reversed
     later = [replace(r, ms_median=10.0 - r.ms_median) for r in records]
-    assert emit_report(records + later).markdown == emit_report(records).markdown
+    with pytest.raises(ValueError, match="one record per"):
+        emit_report(records + later)
+    # the cells of one table given in two runs render as that table
+    report = emit_report(records[:4] + records[4:])
+    assert report == emit_report(records)
+    rows = [line for line in report.markdown.split("\n") if line.startswith(("| alpha", "| beta"))]
+    table_cells = sum(len(row.strip("|").split("|")) - 1 for row in rows)
+    assert table_cells == len(report.csv.strip().split("\n")) - 1 == 8
 
 
-def test_single_record_csv():
-    record = make_golden_records()[0]
-    report = emit_report([record])
-    lines = report.csv.strip().split("\n")
-    assert len(lines) == 2
+def test_an_incomplete_table_is_rejected():
+    records = make_golden_records()
+    without_beta_at_16x16 = [r for r in records if (r.size_label, r.pipeline) != ("16x16", "beta")]
+    for incomplete in (records[:1], records[:3], without_beta_at_16x16):
+        with pytest.raises(ValueError, match="one record per"):
+            emit_report(incomplete)
+    # one size and one pipeline under both strategies is a complete table
+    lines = emit_report(records[:2]).csv.strip().split("\n")
+    assert len(lines) == 3
     assert lines[0] == (
         "size,pipeline,strategy,ms_median,ms_min,ms_max,"
         "conv_mul,conv_add,filt_mul,filt_add,M,speedup"
@@ -173,7 +184,7 @@ def test_markdown_marks_strictly_faster_strategy():
 
 
 def test_emit_report_rejects_empty_input():
-    with pytest.raises(ValueError, match="at least one record"):
+    with pytest.raises(ValueError, match="one record per"):
         emit_report([])
 
 

@@ -9,7 +9,6 @@ from iqprep.downsample import (
     compute_factor,
     separate_filter_then_decimate,
 )
-from iqprep.pipeline import OpCounter
 
 
 def brute_force_block_means(plane, factor):
@@ -136,13 +135,6 @@ def test_spec_normalises_numpy_integer_factor():
     assert type(spec.factor) is int
 
 
-def test_counter_arithmetic():
-    total = OpCounter(2, 3) + OpCounter(5, 7)
-    assert (total.multiplies, total.adds) == (7, 10)
-    with pytest.raises(ValueError, match="non-negative"):
-        OpCounter(multiplies=-1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
@@ -226,9 +218,9 @@ def test_downsampling_is_linear(seed, alpha, beta, factor):
     width=st.integers(min_value=1, max_value=80),
     factor=st.integers(min_value=1, max_value=20),
 )
-def test_uint8_kernel_equals_float_path(seed, height, width, factor):
-    # every partial sum of 8-bit samples is an exact float64 integer, so a
-    # uint8 plane gives the bits of its float64 cast, not just close ones
+def test_uint8_plane_equals_its_float64_cast(seed, height, width, factor):
+    # block_mean_decimate casts a uint8 plane to float64 before it sums, so
+    # the plane gives the bits of its float64 cast, not just close ones
     plane = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
     spec = DownsampleSpec(factor)
     if height < factor or width < factor:
@@ -242,9 +234,9 @@ def test_uint8_kernel_equals_float_path(seed, height, width, factor):
 
 
 @pytest.mark.parametrize("factor", [16, 17, 64])
-def test_uint8_all_255_blocks_do_not_overflow(factor):
-    # 16^2 * 255 is the largest block sum a uint16 would hold; a uint8
-    # plane must not be summed in its own or any too-narrow type
+def test_all_255_uint8_blocks_average_to_255(factor):
+    # 16^2 * 255 is the largest block sum a uint16 would hold; the float64
+    # cast that block_mean_decimate sums holds every block sum exactly
     plane = np.full((2 * factor + 1, 3 * factor), 255, dtype=np.uint8)
     out = block_mean_decimate(plane, DownsampleSpec(factor))
     assert out.shape == (2, 3)

@@ -61,6 +61,13 @@ def test_convert_first_m1_identity_is_passthrough():
         assert np.array_equal(plane, channel)
 
 
+def test_counter_arithmetic():
+    total = OpCounter(2, 3) + OpCounter(5, 7)
+    assert (total.multiplies, total.adds) == (7, 10)
+    with pytest.raises(ValueError, match="non-negative"):
+        OpCounter(multiplies=-1)
+
+
 def test_counter_examples_2x2_image():
     img = synth_image(2, 2, 1)
     cf = preprocess(img, builtin_matrix("yiq"), ALL, Strategy.CONVERT_FIRST, DownsampleSpec(2))
@@ -874,10 +881,16 @@ def test_limbs_without_a_usable_decimal_form():
                 assert _represented(plan) == stored, (matrix.name, factor)
 
 
-def test_impossible_tolerance_passes_without_a_decimal_form():
+@pytest.mark.parametrize(
+    "height, width, factor",
+    [(384, 384, 2), (2160, 3840, 8), (700, 1001, 3)],
+    ids=["384x384", "2160x3840", "700x1001"],
+)
+def test_impossible_tolerance_passes_without_a_decimal_form(height, width, factor):
     # every matrix runs on integers, so both orderings agree bit for bit
     # even without a decimal form; BIG's overflow (NaN) is the failing case
-    img = synth_image(384, 384, 1)
+    assert compute_factor(height, width).factor == factor
+    img = synth_image(height, width, 1)
     for matrix in (THIRD, builtin_matrix("yiq")):
         report = verify_equivalence(img, matrix, tolerance=5e-324)
         assert report.passed and report.max_abs_diff == 0.0
