@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when ``verify`` finds the two orderings
 differ in any bit (so it is usable as a CI gate), 2 on usage or input errors.
 Each command raises on bad input; :func:`main` is the one place that
-turns a ``ValueError`` (``PnmParseError`` included) or an ``OSError``
-into ``error: <message>`` on stderr and exit code 2.
+turns a ``ValueError`` (``PnmParseError`` included), an ``OSError`` or the
+``MemoryError`` of an image too large to allocate into
+``error: <message>`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:  # PnmParseError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # PnmParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,14 +158,9 @@ def load_pnm(path: str | os.PathLike) -> RgbImage8:
             f"truncated pixel payload: expected {need} bytes from byte {pos}, found {have}",
         )
     samples = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    interleaved = samples.reshape(height, width, 3)
-    return RgbImage8(
-        height=height,
-        width=width,
-        red=interleaved[:, :, 0].copy(),
-        green=interleaved[:, :, 1].copy(),
-        blue=interleaved[:, :, 2].copy(),
-    )
+    # one copy de-interleaves all three channels, the layout synth_image returns
+    red, green, blue = samples.reshape(height, width, 3).transpose(2, 0, 1).copy()
+    return RgbImage8(height=height, width=width, red=red, green=green, blue=blue)
 
 
 def write_pnm(image: RgbImage8, path: str | os.PathLike) -> None:
@@ -175,10 +170,9 @@ def write_pnm(image: RgbImage8, path: str | os.PathLike) -> None:
     interleaved RGB payload, so ``load_pnm`` inverts it byte for byte.
     """
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    payload = np.stack(image.channels, axis=-1).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(np.stack(image.channels, axis=-1))
 
 
 # SplitMix64 constants (Steele, Lea & Flood, OOPSLA 2014; the public-domain

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Nothing here uses scipy any more. The bare import keeps it in
-# sys.modules, where the benchmark harness reads its version for the run
-# metadata; scipy.ndimage, which most of the import time went to, is not
+# Nothing here uses scipy. The bare import keeps it in sys.modules, where
+# perfbench reads its version for the run metadata (test_namespace.py checks
+# it is there); scipy.ndimage, which most of the import time went to, is not
 # loaded.
 import scipy  # noqa: F401
 

@@ -40,8 +40,8 @@ from enum import Enum
 
 import numpy as np
 
-# perfbench's traced run wraps transform and block_mean_decimate on this
-# module, so both stay attributes of it although _execute calls neither.
+# perfbench's traced run wraps transform and block_mean_decimate on this module
+# (test_namespace.py checks both exist), although _execute calls neither.
 from iqprep.colorspace import ChannelSet, ColorMatrix, transform
 from iqprep.downsample import DownsampleSpec, block_mean_decimate, compute_factor
 from iqprep.image import RgbImage8

@@ -297,6 +297,8 @@ def test_bench_unwritable_output(capsys, tmp_path, monkeypatch):
     assert calls == []  # it fails before anything is timed
 
 
+# 2.6 EiB is past every 64-bit address space, so numpy fails at once
+_TOO_LARGE = "Unable to allocate 2.60 EiB for an array with shape (3000000000000000000,) and data type uint8"
 ERROR_PATHS = {
     "verify-2x5": (
         ("verify", "--size", "2x5"),
@@ -306,6 +308,7 @@ ERROR_PATHS = {
         ("verify", "--size", "8x8", "--matrix", "nope"),
         "unknown color matrix 'nope' (known: identity, yiq, lmn)",
     ),
+    "verify-too-large": (("verify", "--size", "1000000000x1000000000"), _TOO_LARGE),
     "score-dimensions": (
         ("score", "--ref", "8x8.ppm", "--dst", "8x9.ppm"),
         "image dimensions differ: 8x8 vs 8x9",
@@ -330,6 +333,7 @@ ERROR_PATHS = {
         ("bench", "--sizes", "2x5", "--reps", "3"),
         "gradient similarity needs planes of at least 3x3, got (2, 5)",
     ),
+    "bench-too-large": (("bench", "--sizes", "1000000000x1000000000", "--reps", "3"), _TOO_LARGE),
     "bench-reps": (
         ("bench", "--sizes", "8x8", "--reps", "2"),
         "need at least 3 repetitions for a median, got 2",

@@ -1,7 +1,10 @@
-"""The ``iqprep`` namespace is exactly what the README quickstart and the demos import."""
+"""The ``iqprep`` namespace is exactly what the README quickstart and the demos
+import, and every name perfbench looks up on the library exists."""
 
 import ast
+import importlib
 import re
+import sys
 from pathlib import Path
 
 import iqprep
@@ -39,3 +42,17 @@ def test_readme_quickstart_runs(capsys):
     out = capsys.readouterr().out
     assert "Strategy.DOWNSAMPLE_FIRST 4" in out
     assert "True" in out
+
+
+def test_what_perfbench_looks_up_exists(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    # what the traced run lists as ``meta.unwrapped``
+    unwrapped = {
+        t.name
+        for t in layers.SETUP_TARGETS + layers.PAIR_TARGETS
+        if getattr(t.module, t.attr, None) is None
+    }
+    assert unwrapped <= {"image.to_planes"}
+    # importing iqprep loaded scipy; perfbench/run.py reads its version there
+    assert "scipy" in sys.modules

@@ -1,10 +1,10 @@
 """Every number README quotes that the repository can recompute, recomputed.
 
-The deterministic figures come from the library, the CI workflow and the
-test matrices; the timings come only from the committed ``BENCH_*.json``
-files, one trajectory row each. A change that moves one of them, a new
-BENCH file without its row, or a renamed section that code cites fails
-here until README follows.
+The deterministic figures come from the library and the test matrices, and
+README's "Tolerances" table is run as ``iqprep verify`` commands; the
+timings come only from the committed ``BENCH_*.json`` files, one trajectory
+row each. A change that moves one of them, a new BENCH file without its
+row, or a renamed section that code cites fails here until README follows.
 """
 
 import json
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import iqprep
-from iqprep import pipeline
+from iqprep import cli, pipeline
 from iqprep.colorspace import ChannelSet, builtin_matrix
 from iqprep.downsample import DownsampleSpec, compute_factor
 from iqprep.pipeline import Strategy, plan_pipeline, predict_ops
@@ -94,22 +94,31 @@ def test_third_bound_at_m8():
     assert f"For THIRD at M = 8 (b = {b}) the bound is {bound:.1e}" in PROSE
 
 
-def test_ci_verify_sizes():
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-    runs: dict[str, list[str]] = {}
-    for size, matrix in re.findall(r"iqprep verify --size (\d+x\d+) --matrix (\w+)", workflow):
-        runs.setdefault(size, []).append(matrix)
-    assert runs
-    readme_rows = {}
-    for line in LINES:
-        cells = [c.strip() for c in line.strip("|").split("|")]
-        if re.fullmatch(r"\d+x\d+", cells[0]) and len(cells) == 4:
-            readme_rows[cells[0]] = cells
-    assert set(readme_rows) == set(runs)
-    for size, matrices in runs.items():
-        _, factor, listed, _ = readme_rows[size]
-        assert factor == str(compute_factor(*map(int, size.split("x"))).factor), size
-        assert sorted(listed.split(", ")) == sorted(matrices), size
+# (size, M, matrix) for each matrix of each row of README's "Tolerances" table
+_TOLERANCES = README.split("### Tolerances", 1)[1].split("\n#", 1)[0]
+VERIFY_CASES = [
+    (size, factor, matrix)
+    for size, factor, matrices in re.findall(r"^\| (\d+x\d+) \| (\d+) \| (.+?) \|", _TOLERANCES, re.M)
+    for matrix in matrices.split(", ")
+]
+
+
+@pytest.mark.parametrize(
+    "size, factor, matrix", VERIFY_CASES, ids=[f"{s}-{m}" for s, _, m in VERIFY_CASES]
+)
+def test_verify_table(capsys, size, factor, matrix):
+    assert factor == str(compute_factor(*map(int, size.split("x"))).factor)
+    assert cli.main(["verify", "--size", size, "--matrix", matrix]) == 0
+    assert capsys.readouterr() == (
+        f"size {size}  matrix {matrix}  M {factor}\n"
+        "max |convert-first - downsample-first| per channel:\n"
+        "  luma     0.000e+00\n"
+        "  chroma1  0.000e+00\n"
+        "  chroma2  0.000e+00\n"
+        "score delta: 0.000e+00\n"
+        "PASS\n",
+        "",
+    )
 
 
 def test_namespace_count():
