@@ -32,10 +32,11 @@ image to its whole blocks once, before either stage.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from iqprep.image import _index
 
 __all__ = [
     "DownsampleSpec",
@@ -56,9 +57,7 @@ class DownsampleSpec:
     factor: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.factor, bool) or not hasattr(self.factor, "__index__"):
-            raise TypeError(f"downsample factor must be an integer, got {self.factor!r}")
-        object.__setattr__(self, "factor", operator.index(self.factor))
+        object.__setattr__(self, "factor", _index(self.factor, "downsample factor"))
         if self.factor < 1:
             raise ValueError(f"downsample factor must be >= 1, got {self.factor}")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ __all__ = [
 
 
 def _index(value, name: str) -> int:
-    """``operator.index(value)``, except that a bool is not an integer here."""
-    if isinstance(value, bool):
+    """``operator.index(value)``, but bools, numpy bools, floats and strings raise TypeError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
 
@@ -83,38 +84,27 @@ class PnmParseError(ValueError):
         super().__init__(f"byte {offset}: {message}")
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
-    """Return the next header token, skipping whitespace and '#' comments.
-
-    Returns ``(token, start_offset, end_pos)``.
-    """
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PnmParseError(pos, "unexpected end of header")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], start, pos
+# Whitespace and '#' comments, then one field, which is empty only at end of file.
+_HEADER_FIELD = re.compile(rb"(?:\s|#[^\n\r]*)*(\S*)")
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
-    token, start, end = _next_token(data, pos)
+    match = _HEADER_FIELD.match(data, pos)
+    token, start = match[1], match.start(1)
+    if not token:
+        raise PnmParseError(start, "unexpected end of header")
     if not token.isdigit():
         raise PnmParseError(start, f"expected {what}, got {token!r}")
-    return int(token), start, end
+    return int(token), start, match.end()
 
 
 def load_pnm(path: str | os.PathLike) -> RgbImage8:
     """Read a binary P6 PNM file with maxval 255.
+
+    Header fields are separated by ASCII whitespace and by ``#`` comments,
+    which run to ``\\n``, to ``\\r`` or to the end of the file. A field is a
+    run of non-whitespace bytes, and it must be decimal digits. Exactly one
+    whitespace byte comes before the payload; bytes after it are ignored.
 
     Parameters
     ----------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqprep.downsample import DownsampleSpec
 from iqprep.image import (
     _SYNTH_CHUNK,
     PnmParseError,
@@ -167,6 +168,39 @@ def test_zero_dimension_header(tmp_path):
         load_pnm(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [b"P6\x0b1\x0c1\n255\n", b"P6\n#c\r1 1\n255\n"],
+    ids=["vertical-tab-and-form-feed-separate", "comment-ends-at-cr"],
+)
+def test_header_separators(tmp_path, header):
+    path = tmp_path / "sep.ppm"
+    path.write_bytes(header + b"\x01\x02\x03")
+    img = load_pnm(path)
+    assert (img.height, img.width) == (1, 1)
+    assert (img.red[0, 0], img.green[0, 0], img.blue[0, 0]) == (1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "data, offset, message",
+    [
+        (b"P6\n1 1\n# no end", 15, "unexpected end of header"),
+        # a '#' inside a field does not start a comment
+        (b"P6\n1#2 1\n255\n", 3, "expected width, got b'1#2'"),
+        # 0xA0 is not ASCII whitespace, so it does not end a field
+        (b"P6\n1\xa01 1\n255\n", 3, "expected width, got b'1\\xa01'"),
+    ],
+    ids=["comment-runs-to-eof", "hash-inside-field", "nbsp-inside-field"],
+)
+def test_header_grammar_errors(tmp_path, data, offset, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(data)
+    with pytest.raises(PnmParseError) as excinfo:
+        load_pnm(path)
+    assert excinfo.value.offset == offset
+    assert str(excinfo.value) == f"byte {offset}: {message}"
+
+
 def test_synth_is_pure_function_of_arguments():
     a = synth_image(2, 2, 7)
     b = synth_image(2, 2, 7)
@@ -253,6 +287,26 @@ def test_non_integer_sizes_and_seeds_are_rejected():
     for seed in (1.0, True, False, np.True_):
         with pytest.raises(TypeError):
             synth_image(4, 4, seed)
+
+
+ZEROS_4X4 = np.zeros((4, 4), dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "make, args, message",
+    [
+        (RgbImage8, (4.0, 4) + (ZEROS_4X4,) * 3, "height must be an integer, got 4.0"),
+        (synth_image, (4.0, 4, 1), "height must be an integer, got 4.0"),
+        (synth_image, (4, 4, 1.0), "seed must be an integer, got 1.0"),
+        (DownsampleSpec, (2.0,), "downsample factor must be an integer, got 2.0"),
+        (DownsampleSpec, (np.True_,), f"downsample factor must be an integer, got {np.True_!r}"),
+    ],
+    ids=["image-height", "synth-height", "synth-seed", "factor-float", "factor-numpy-bool"],
+)
+def test_one_integer_rule_names_the_value(make, args, message):
+    with pytest.raises(TypeError) as excinfo:
+        make(*args)
+    assert str(excinfo.value) == message
 
 
 def splitmix64_top_byte(seed, i):
