@@ -10,14 +10,15 @@ accuracy.
 
 Both terms run in real float64 arithmetic. The Prewitt responses come
 from 3-row and 3-column sums of an edge-padded plane, and the gradient
-term works on squared magnitudes, so it takes one square root per sample
-and holds at most four arrays of its input's size at once. The chroma
-exponent takes the real part of the principal-branch power in closed
-form, without a complex cast. :func:`score` builds the maps one row tile
-at a time (the gradient term with a one-row halo) and pools running
-sums, so it holds no plane-sized map; every map sample has the bits of
-the whole-plane map, and only the order in which the means are summed
-differs.
+term works on squared magnitudes, so it takes one square root per sample.
+The chroma exponent takes the real part of the principal-branch power in
+closed form, without a complex cast. The maps are built by kernels that
+write into four float64 buffers: the edge-padded luma, a scratch for row
+and column sums, and two maps. :func:`score` allocates them once per call
+at the size of one row tile and pools running sums tile by tile; the
+public map functions give them the size of the plane. Every map sample
+has the bits of the whole-plane map; only the order in which the means
+are summed differs.
 """
 
 from __future__ import annotations
@@ -35,11 +36,7 @@ import scipy  # noqa: F401
 from iqprep.pipeline import PreprocessedChannels
 
 __all__ = [
-    "QualityScore",
-    "gradient_similarity",
-    "chroma_similarity",
-    "score",
-    "require_gradient_size",
+    "QualityScore", "gradient_similarity", "chroma_similarity", "score", "require_gradient_size"
 ]
 
 # Stability constants and the chroma exponent of the stand-in metric:
@@ -76,30 +73,66 @@ def require_gradient_size(shape: tuple[int, ...]) -> None:
         raise ValueError(f"gradient similarity needs planes of at least 3x3, got {shape}")
 
 
-def _squared_prewitt(plane: np.ndarray) -> np.ndarray:
-    """Squared magnitude of the two 1/3-normalized Prewitt responses.
+def _view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first ``rows * width`` samples of a flat buffer, as a (rows, width) array."""
+    return buffer[: rows * width].reshape(rows, width)
 
-    The masks are correlated with replicate edges. Unscaled, the
-    horizontal response is the 3-row sum of the padded plane at column
-    j minus it at column j + 2, and the vertical one is the 3-column sum
-    at row i minus it at row i + 2. Squared and summed, they are scaled
-    once by 1/9. At most three plane-sized arrays are live at a time.
+
+def _buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
+    """The flat padded, sums, first and second map buffers for tiles of up to ``rows`` rows."""
+    padded = (rows + 2) * (width + 2)
+    return np.empty(padded), np.empty(padded), np.empty(rows * width), np.empty(rows * width)
+
+
+def _squared_prewitt(plane: np.ndarray, a: int, b: int, out: np.ndarray, buffers: tuple) -> None:
+    """Squared magnitude of the 1/3-normalized Prewitt responses on rows ``[a, b)``, into ``out``.
+
+    The masks are correlated with replicate edges: the padded buffer takes
+    plane rows a - 1 to b, clamped to the plane, each row's end samples
+    repeated. Unscaled, the horizontal response is the 3-row sum at column
+    j minus it at column j + 2, and the vertical one the 3-column sum at
+    row i minus it at row i + 2. Squared and summed, they are scaled once
+    by 1/9. The vertical response reuses the padded buffer.
     """
-    padded = np.pad(np.asarray(plane, dtype=np.float64), 1, mode="edge")
-    row_sums = padded[:-2] + padded[1:-1]
-    row_sums += padded[2:]
-    squared = row_sums[:, :-2] - row_sums[:, 2:]
-    del row_sums
-    squared *= squared
-    col_sums = padded[:, :-2] + padded[:, 1:-1]
-    col_sums += padded[:, 2:]
-    del padded
-    vertical = col_sums[:-2] - col_sums[2:]
-    del col_sums
+    padded, sums = buffers[:2]
+    (h, w), n = plane.shape, b - a
+    edged = _view(padded, n + 2, w + 2)
+    edged[1:-1, 1:-1] = plane[a:b]
+    edged[0, 1:-1] = plane[max(a - 1, 0)]
+    edged[-1, 1:-1] = plane[min(b, h - 1)]
+    edged[:, 0] = edged[:, 1]
+    edged[:, -1] = edged[:, -2]
+    row_sums = _view(sums, n, w + 2)
+    np.add(edged[:-2], edged[1:-1], out=row_sums)
+    row_sums += edged[2:]
+    np.subtract(row_sums[:, :-2], row_sums[:, 2:], out=out)
+    out *= out
+    col_sums = _view(sums, n + 2, w)
+    np.add(edged[:, :-2], edged[:, 1:-1], out=col_sums)
+    col_sums += edged[:, 2:]
+    vertical = _view(padded, n, w)
+    np.subtract(col_sums[:-2], col_sums[2:], out=vertical)
     vertical *= vertical
-    squared += vertical
-    squared /= 9.0
-    return squared
+    out += vertical
+    out /= 9.0
+
+
+def _gradient_map(ref: np.ndarray, dst: np.ndarray, a: int, b: int, buffers: tuple) -> np.ndarray:
+    """Gradient similarity on rows ``[a, b)``, in the sums buffer; the two maps are spent."""
+    _, sums, first, second = buffers
+    n, w = b - a, ref.shape[1]
+    sq_ref, sq_dst = _view(first, n, w), _view(second, n, w)
+    _squared_prewitt(ref, a, b, sq_ref, buffers)
+    _squared_prewitt(dst, a, b, sq_dst, buffers)
+    similarity = _view(sums, n, w)
+    np.multiply(sq_ref, sq_dst, out=similarity)
+    np.sqrt(similarity, out=similarity)
+    similarity *= 2.0
+    similarity += _GRADIENT_C
+    sq_ref += sq_dst
+    sq_ref += _GRADIENT_C
+    similarity /= sq_ref
+    return similarity
 
 
 def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray) -> np.ndarray:
@@ -118,20 +151,26 @@ def gradient_similarity(ref_luma: np.ndarray, dst_luma: np.ndarray) -> np.ndarra
       formed from the squared magnitudes ``G = g^2`` as
       ``(2*sqrt(G_r*G_d) + c) / (G_r + G_d + c)``. ``sqrt(G*G)`` rounds
       back to ``G`` (or, for ``G`` too small to square, to nothing ``c``
-      notices), so equal gradients still give exactly 1.
+      notices), so equal gradients still give exactly 1. :func:`score`
+      runs the same kernels on each row tile.
     """
     ref, dst = _check_pair(ref_luma, dst_luma)
     require_gradient_size(ref.shape)
-    sq_ref = _squared_prewitt(ref)
-    sq_dst = _squared_prewitt(dst)
-    similarity = np.multiply(sq_ref, sq_dst)
-    np.sqrt(similarity, out=similarity)
-    similarity *= 2.0
-    similarity += _GRADIENT_C
-    sq_ref += sq_dst
-    sq_ref += _GRADIENT_C
-    similarity /= sq_ref
-    return similarity
+    return _gradient_map(ref, dst, 0, len(ref), _buffers(*ref.shape))
+
+
+def _chroma_map(ref: np.ndarray, dst: np.ndarray, out: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # chroma_similarity into ``out``; the denominator is summed in ``den``
+    # first, so that ``out`` can take dst^2 on the way
+    np.square(ref, out=den)
+    np.square(dst, out=out)
+    den += out
+    den += _CHROMA_T
+    np.multiply(2.0, ref, out=out)
+    out *= dst
+    out += _CHROMA_T
+    out /= den
+    return out
 
 
 def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray) -> np.ndarray:
@@ -142,70 +181,36 @@ def chroma_similarity(ref_chroma: np.ndarray, dst_chroma: np.ndarray) -> np.ndar
     dominate the stability constant, which keeps the denominator positive.
     """
     ref, dst = _check_pair(ref_chroma, dst_chroma)
-    return (2.0 * ref * dst + _CHROMA_T) / (ref**2 + dst**2 + _CHROMA_T)
+    return _chroma_map(ref, dst, np.empty(ref.shape), np.empty(ref.shape))
 
 
-def _chroma_power(
-    product: np.ndarray, weight: float, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _chroma_power(product: np.ndarray, weight: float, scratch=None, out=None) -> np.ndarray:
     # Real part of the principal-branch power x^w, the real() convention
-    # the established metrics use for their chroma exponent. For x >= 0
-    # (-0.0 included) it is |x|^w; for x < 0 it is |x|^w * cos(pi*w). Real
-    # arithmetic gives it without a complex128 copy of the plane, and
-    # weight 0 gives exactly 1 everywhere. ``product`` is left as it is.
-    #
-    # Every sample is multiplied by a factor gathered by its sign, 1.0 or
-    # cos(pi*w), into ``scratch`` if given (float64, the product's shape);
-    # x * 1.0 is x for every x, NaN and inf included. With the default
-    # "raise" mode, take would buffer its out array. The factors are
-    # gathered before the power is allocated, so take's intp copy of the
-    # indices is never live beside it.
-    negative = (product < 0).view(np.uint8)
-    factors = np.array([1.0, np.cos(np.pi * weight)]).take(negative, out=scratch, mode="clip")
-    power = np.abs(product)
-    power **= weight
-    power *= factors
-    return power
+    # the established metrics use for their chroma exponent: |x|^w for
+    # x >= 0 (-0.0 included) and |x|^w * cos(pi*w) for x < 0, without a
+    # complex128 copy; weight 0 gives exactly 1 everywhere. Each sample is
+    # multiplied by a factor gathered by its sign, 1.0 or cos(pi*w); x * 1.0
+    # is x for every x, NaN and inf included. ``scratch`` and ``out``
+    # (float64, the product's shape, new if not given) first take the
+    # factors and the signs, as int64 so that take copies no intp indices;
+    # take's default "raise" mode would buffer. ``product`` is left as is.
+    out = np.empty(product.shape) if out is None else out
+    factors = np.empty(product.shape) if scratch is None else scratch
+    negative = out.view(np.int64)
+    np.less(product, 0, out=negative)
+    np.array([1.0, np.cos(np.pi * weight)]).take(negative, out=factors, mode="clip")
+    np.abs(product, out=out)
+    out **= weight
+    out *= factors
+    return out
 
 
-def _tile_sums(
-    ref: PreprocessedChannels, dst: PreprocessedChannels, a: int, b: int
-) -> tuple[float, float, float, float]:
-    """Sums of the composite, gradient, chroma1 and chroma2 maps over rows ``[a, b)``.
-
-    The gradient map comes from luma rows ``[a - 1, b + 1)``, clamped to
-    the plane, with the halo rows cropped, so each of its samples has the
-    bits of the whole-plane map. An absent chroma channel sums to 0. The
-    tile's maps are freed when this returns.
-    """
-    lo, hi = max(a - 1, 0), min(b + 1, ref.luma.shape[0])
-    gradient_map = gradient_similarity(ref.luma[lo:hi], dst.luma[lo:hi])
-    gradient_map = gradient_map[a - lo : b - lo]
-    chroma_sums = [0.0, 0.0]
-    product = scratch = None
-    for i, (ref_c, dst_c) in enumerate(zip(ref.planes[1:], dst.planes[1:])):
-        if ref_c is not None:
-            cmap = chroma_similarity(ref_c[a:b], dst_c[a:b])
-            chroma_sums[i] = float(cmap.sum())
-            if product is None:
-                product = cmap
-            else:
-                # the second map is dead once multiplied in: the chroma
-                # power gathers its sign factors there
-                product = product * cmap
-                scratch = cmap
-    if product is None:
-        composite = gradient_map
-    else:
-        composite = gradient_map * _chroma_power(product, _CHROMA_WEIGHT, scratch)
-    return (float(composite.sum()), float(gradient_map.sum()), *chroma_sums)
-
-
-# score() builds its maps over row tiles of about this many samples (256 KB
-# per float64 map), so a tile's maps stay in cache and no plane-sized map
-# is built. 2^16 was 3-5 % faster at 270x480 but holds two and a half
-# planes of maps; 2^14 and below were slower at both plane sizes measured.
-_TILE_SAMPLES = 1 << 15
+# score() builds its maps over row tiles of about this many samples (128 KB
+# per map buffer), so its four buffers stay in cache. In two in-process runs,
+# 2^15 was 0-5 % faster at 270x480 and 0-4 % slower at 192x256, with twice
+# the buffers (tracemalloc peak 1.20 against 0.67 MB at 270x480); 2^13 was
+# 3-23 % slower at both sizes, and 2^16 no faster than 2^15.
+_TILE_SAMPLES = 1 << 14
 
 
 def score(ref: PreprocessedChannels, dst: PreprocessedChannels) -> QualityScore:
@@ -227,19 +232,32 @@ def score(ref: PreprocessedChannels, dst: PreprocessedChannels) -> QualityScore:
             raise ValueError(f"channel sets differ: {name} present on one input only")
     if ref.luma is None:
         raise ValueError("scoring requires the luminance channel")
-
-    h, w = ref.luma.shape
-    if dst.luma.shape != (h, w):
-        raise ValueError(f"plane dimensions differ: {(h, w)} vs {dst.luma.shape}")
+    pairs = [None if a is None else _check_pair(a, b) for a, b in zip(ref.planes, dst.planes)]
+    h, w = pairs[0][0].shape
     require_gradient_size((h, w))
 
-    # Row tiles of at least two rows, the last one taking a lone remainder
-    # row, so a tile with its one-row halo is never under 3x3.
-    rows = max(2, _TILE_SAMPLES // w)
-    sums = [0.0, 0.0, 0.0, 0.0]
-    for a in range(0, h - 1, rows):
-        b = a + rows if a + rows < h - 1 else h
-        sums = [s + t for s, t in zip(sums, _tile_sums(ref, dst, a, b))]
+    # A tile reads the luma rows beside it, so it may be one row. The
+    # gradient map stays in the sums buffer; the first chroma map, then the
+    # product, takes the first map, the second, then the composite, the other.
+    rows = max(1, _TILE_SAMPLES // w)
+    buffers = padded, _, first, second = _buffers(min(rows, h), w)
+    sums = [0.0, 0.0, 0.0, 0.0]  # composite, gradient, chroma1, chroma2
+    for a in range(0, h, rows):
+        b = min(a + rows, h)
+        composite = gradient_map = _gradient_map(*pairs[0], a, b, buffers)
+        maps = (_view(first, b - a, w), _view(second, b - a, w), _view(padded, b - a, w))
+        product = None
+        for i, pair in enumerate(pairs[1:], 2):
+            if pair is not None:
+                out, scratch = maps[:2] if product is None else maps[1:]
+                cmap = _chroma_map(pair[0][a:b], pair[1][a:b], out, scratch)
+                sums[i] += float(cmap.sum())
+                product = cmap if product is None else np.multiply(product, cmap, out=product)
+        if product is not None:
+            power = _chroma_power(product, _CHROMA_WEIGHT, scratch=maps[2], out=maps[1])
+            composite = np.multiply(gradient_map, power, out=power)
+        sums[0] += float(composite.sum())
+        sums[1] += float(gradient_map.sum())
     value, gradient, chroma1, chroma2 = (s / (h * w) for s in sums)
     return QualityScore(
         value=value,

@@ -239,8 +239,9 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
     doubled the time of a 4K image at M = 8. M^2 * 2^15 input samples
     were as fast but double the band's intermediates. Without the cap,
     the uint16 row sums and their float32 copy raised perfbench's full-4k
-    ``peak_mb`` to 8.01 MB, above the 7.80 MB that ``score`` sets; the cap
-    leaves M <= 4 as it was.
+    ``peak_mb`` to 8.01 MB; with it, the pair's second downsample-first
+    call sets the peak, at 7.05 MB (``score`` reaches 6.90 MB after it).
+    The cap leaves M <= 4 as it was.
     """
     m = plan.spec.factor
     samples = 1 << 16 if _full_resolution(plan) else min(m * m << 14, m << 16)

@@ -13,6 +13,7 @@ from iqprep.downsample import DownsampleSpec, compute_factor
 from iqprep.image import RgbImage8, synth_image
 from iqprep.metrics import (
     _TILE_SAMPLES,
+    _buffers,
     _chroma_power,
     _squared_prewitt,
     chroma_similarity,
@@ -46,6 +47,14 @@ def brute_force_prewitt_magnitude(plane):
     return out
 
 
+def squared_prewitt(plane):
+    """The squared Prewitt magnitude of a whole plane, in buffers of its size."""
+    h, w = plane.shape
+    out = np.empty((h, w))
+    _squared_prewitt(plane, 0, h, out, _buffers(h, w))
+    return out
+
+
 def _preprocessed_pair(seed, height=24, width=20, factor=2, channels=ALL, strategy=Strategy.CONVERT_FIRST):
     matrix = builtin_matrix("yiq")
     ref = synth_image(height, width, seed)
@@ -71,7 +80,7 @@ def test_two_flat_planes_give_all_ones():
 
 def test_prewitt_magnitude_against_brute_force():
     plane = np.arange(1.0, 10.0).reshape(3, 3)
-    magnitude = np.sqrt(_squared_prewitt(plane))
+    magnitude = np.sqrt(squared_prewitt(plane))
     np.testing.assert_allclose(magnitude, brute_force_prewitt_magnitude(plane), atol=1e-12, rtol=0)
     assert abs(magnitude[1, 1] - math.sqrt(40.0)) <= 1e-12
 
@@ -91,7 +100,7 @@ def test_prewitt_and_gradient_similarity_against_brute_force(h, w, seed):
     ref, dst = _random_planes(h, w, seed)
     g_ref = brute_force_prewitt_magnitude(ref)
     g_dst = brute_force_prewitt_magnitude(dst)
-    np.testing.assert_allclose(np.sqrt(_squared_prewitt(ref)), g_ref, atol=1e-12, rtol=1e-12)
+    np.testing.assert_allclose(np.sqrt(squared_prewitt(ref)), g_ref, atol=1e-12, rtol=1e-12)
     c = 160.0
     expected = (2.0 * g_ref * g_dst + c) / (g_ref**2 + g_dst**2 + c)
     np.testing.assert_allclose(gradient_similarity(ref, dst), expected, atol=1e-12, rtol=0)
@@ -358,10 +367,10 @@ def _whole_map_score(ref, dst):
     return (composite.mean(), gradient_map.mean(), c1.mean(), c2.mean())
 
 
-@pytest.mark.parametrize("width", [64, _TILE_SAMPLES + 5])  # the second: two-row tiles
+@pytest.mark.parametrize("width", [64, 2 * _TILE_SAMPLES + 5])  # the second: one-row tiles
 @pytest.mark.parametrize("channels", [ALL, ChannelSet.luma_only()])
 def test_tiled_score_equals_whole_map_mean(width, channels):
-    rows = max(2, _TILE_SAMPLES // width)
+    rows = max(1, _TILE_SAMPLES // width)
     heights = {3, 4, rows - 1, rows, rows + 1, 2 * rows + 1}
     matrix = builtin_matrix("yiq")
     for height in sorted(h for h in heights if h >= 3):
@@ -377,21 +386,83 @@ def test_tiled_score_equals_whole_map_mean(width, channels):
                 assert abs(g - want) <= 1e-13, (height, width)
 
 
-def test_score_peak_memory_at_270x480():
-    # score pools row tiles; it should hold fewer than two plane-sized
-    # maps at once on the reduced planes of a 4K or 1080p pair
+def _literal_maps(ref, dst):
+    """The gradient and chroma maps of two results, each spelled out in one expression.
+
+    Nothing here calls the library's map kernels, so the maps it returns
+    are a reference for them and for score().
+    """
+    squared = []
+    for plane in (ref.luma, dst.luma):
+        padded = np.pad(plane, 1, mode="edge")
+        rows = padded[:-2] + padded[1:-1] + padded[2:]
+        cols = padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]
+        squared.append(((rows[:, :-2] - rows[:, 2:]) ** 2 + (cols[:-2] - cols[2:]) ** 2) / 9.0)
+    g_r, g_d = squared
+    gradient_map = (2.0 * np.sqrt(g_r * g_d) + 160.0) / (g_r + g_d + 160.0)
+    t = 200.0
+    chroma_maps = [
+        (2.0 * r * d + t) / (r**2 + d**2 + t)
+        for r, d in zip(ref.planes[1:], dst.planes[1:])
+        if r is not None
+    ]
+    return gradient_map, chroma_maps
+
+
+def _literal_shapes():
+    shapes = {(3, 3), (4, 5), (192, 256), (270, 480)}
+    for width in (64, _TILE_SAMPLES + 5):
+        rows = max(1, _TILE_SAMPLES // width)
+        heights = {3, 4, rows - 1, rows, rows + 1, 2 * rows + 1}
+        shapes |= {(h, width) for h in heights if h >= 3}
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("channels", [ALL, ChannelSet.luma_only()], ids=["all", "luma"])
+@pytest.mark.parametrize("shape", _literal_shapes(), ids=lambda s: f"{s[0]}x{s[1]}")
+def test_maps_and_score_equal_their_literal_expressions(shape, channels):
+    # every map sample has the bits of the literal expression, and score()
+    # pools the literal composite up to the order of its sums
     matrix = builtin_matrix("yiq")
     ref, dst = (
-        preprocess(synth_image(270, 480, seed), matrix, ALL, spec=DownsampleSpec(1))
-        for seed in (1, 2)
+        preprocess(synth_image(*shape, seed), matrix, channels, spec=DownsampleSpec(1))
+        for seed in (shape[0], shape[1] + 7)
     )
-    tracemalloc.start()
-    try:
-        score(ref, dst)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * ref.luma.nbytes
+    gradient_map, chroma_maps = _literal_maps(ref, dst)
+    assert np.array_equal(gradient_similarity(ref.luma, dst.luma), gradient_map)
+    chroma_pairs = [(r, d) for r, d in zip(ref.planes[1:], dst.planes[1:]) if r is not None]
+    for (r, d), chroma_map in zip(chroma_pairs, chroma_maps, strict=True):
+        assert np.array_equal(chroma_similarity(r, d), chroma_map)
+    composite = gradient_map
+    if chroma_maps:
+        product = chroma_maps[0] * chroma_maps[1]
+        power = np.abs(product) ** 0.5 * np.where(product < 0, np.cos(np.pi * 0.5), 1.0)
+        composite = gradient_map * power
+    result = score(ref, dst)
+    got = [result.value, result.gradient] + [c for c in (result.chroma1, result.chroma2) if c is not None]
+    want = [composite.mean(), gradient_map.mean()] + [c.mean() for c in chroma_maps]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13, shape
+
+
+def test_score_peak_memory_at_270x480():
+    # score works in four buffers of one row tile each; on the reduced
+    # planes of a 4K or 1080p pair, with or without chroma, it should hold
+    # less than three quarters of a plane at once
+    matrix = builtin_matrix("yiq")
+    for channels in (ALL, ChannelSet.luma_only()):
+        ref, dst = (
+            preprocess(synth_image(270, 480, seed), matrix, channels, spec=DownsampleSpec(1))
+            for seed in (1, 2)
+        )
+        tracemalloc.start()
+        try:
+            score(ref, dst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * ref.luma.nbytes, channels
 
 
 def test_dimension_mismatch_rejected():
