@@ -9,16 +9,18 @@ is assertable on something realistic, not to compete on prediction
 accuracy.
 
 Both terms run in real float64 arithmetic. The Prewitt responses come
-from 3-row and 3-column sums of an edge-padded plane, and the gradient
-term works on squared magnitudes, so it takes one square root per sample.
-The chroma exponent takes the real part of the principal-branch power in
-closed form, without a complex cast. The maps are built by kernels that
-write into four float64 buffers: the edge-padded luma, a scratch for row
-and column sums, and two maps. :func:`score` allocates them once per call
-at the size of one row tile and pools running sums tile by tile; the
-public map functions give them the size of the plane. Every map sample
-has the bits of the whole-plane map; only the order in which the means
-are summed differs.
+from 3-row and 3-column sums with replicate edges, read from the luma's
+rows in place, and the gradient term works on squared magnitudes, so it
+takes one square root per sample. The chroma exponent takes the real part
+of the principal-branch power in closed form, without a complex cast. The
+maps are built by kernels that write into four float64 buffers, all of
+the plane's width: a scratch for row and column sums, the vertical
+response, and two maps. Each step is one op on contiguous rows; only the
+edge rows and the two end columns take small ops of their own.
+:func:`score` allocates the buffers once per call at the size of one row
+tile and pools running sums tile by tile; the public map functions give
+them the size of the plane. Every map sample has the bits of the
+whole-plane map; only the order in which the means are summed differs.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ class QualityScore:
 
 
 def _check_pair(ref: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(ref, dtype=np.float64)
-    b = np.asarray(dst, dtype=np.float64)
+    # C order, so that the Prewitt kernel can read a plane's rows as flat slices
+    a = np.asarray(ref, dtype=np.float64, order="C")
+    b = np.asarray(dst, dtype=np.float64, order="C")
     if a.shape != b.shape:
         raise ValueError(f"plane dimensions differ: {a.shape} vs {b.shape}")
     return a, b
@@ -79,47 +82,89 @@ def _view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
 
 
 def _buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
-    """The flat padded, sums, first and second map buffers for tiles of up to ``rows`` rows."""
-    padded = (rows + 2) * (width + 2)
-    return np.empty(padded), np.empty(padded), np.empty(rows * width), np.empty(rows * width)
+    """The flat sums, vertical, first and second map buffers for tiles of up to ``rows`` rows."""
+    return np.empty((rows + 2) * width), *(np.empty(rows * width) for _ in range(3))
+
+
+def _sum3(before: np.ndarray, sample: np.ndarray, after: np.ndarray, out: np.ndarray) -> None:
+    np.add(before, sample, out=out)
+    out += after
+
+
+def _difference(before: np.ndarray, sample: np.ndarray, after: np.ndarray, out: np.ndarray) -> None:
+    np.subtract(before, after, out=out)
+
+
+def _along_rows(op, x: np.ndarray, s: int, n: int, out: np.ndarray) -> None:
+    """``op(row above, row, row below, out)`` for rows ``s`` to ``s + n`` of ``x``, into ``out``.
+
+    ``x`` and ``out`` are C-contiguous. The rows with both neighbours in
+    ``x`` go as one flat op; a first or last row of ``x`` is its own
+    neighbour beyond the edge, in a one-row op.
+    """
+    m, w = x.shape
+    top, bottom = int(s == 0), int(s + n == m)
+    i, j = s + top, s + n - bottom
+    f = x.ravel()
+    above, row, below = (f[k * w : (k + j - i) * w] for k in (i - 1, i, i + 1))
+    op(above, row, below, out[top : n - bottom].ravel())
+    if top:
+        op(x[0], x[0], x[1], out[0])
+    if bottom:
+        op(x[-2], x[-1], x[-1], out[-1])
+
+
+def _across_columns(op, x: np.ndarray, out: np.ndarray) -> None:
+    """``op(left, sample, right, out)`` for every sample of ``x``, into ``out``; end columns repeat.
+
+    ``x`` and ``out`` are C-contiguous and at least 3 wide. One flat op
+    covers every row; at each row's ends it wraps into the rows beside it,
+    and a two-column op then computes those samples again, clamped. Should
+    the flat op overflow or turn invalid, which a wrapped sample alone may
+    do, the 2-D ops that leave the ends out run instead, under the
+    caller's error state, so only the samples of the map raise warnings.
+    """
+    f, o = x.ravel(), out.ravel()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            op(f[:-2], f[1:-1], f[2:], o[1:-1])
+    except FloatingPointError:
+        op(x[:, :-2], x[:, 1:-1], x[:, 2:], out[:, 1:-1])
+    w = x.shape[1]
+    op(x[:, : w - 1 : w - 2], x[:, :: w - 1], x[:, 1 :: w - 2], out[:, :: w - 1])
 
 
 def _squared_prewitt(plane: np.ndarray, a: int, b: int, out: np.ndarray, buffers: tuple) -> None:
     """Squared magnitude of the 1/3-normalized Prewitt responses on rows ``[a, b)``, into ``out``.
 
-    The masks are correlated with replicate edges: the padded buffer takes
-    plane rows a - 1 to b, clamped to the plane, each row's end samples
-    repeated. Unscaled, the horizontal response is the 3-row sum at column
-    j minus it at column j + 2, and the vertical one the 3-column sum at
-    row i minus it at row i + 2. Squared and summed, they are scaled once
-    by 1/9. The vertical response reuses the padded buffer.
+    The masks are correlated with replicate edges, on plane rows a - 1 to
+    b, clamped to the C-contiguous plane and read in place. Unscaled, the
+    horizontal response is the 3-row sum at column j - 1 minus it at
+    column j + 1, and the vertical one the 3-column sum at row i - 1 minus
+    it at row i + 1, each sum added in that order. Squared and summed,
+    they are scaled once by 1/9. Both sums go in the sums buffer, the
+    vertical response in the vertical one.
     """
-    padded, sums = buffers[:2]
+    sums, vertical = buffers[:2]
     (h, w), n = plane.shape, b - a
-    edged = _view(padded, n + 2, w + 2)
-    edged[1:-1, 1:-1] = plane[a:b]
-    edged[0, 1:-1] = plane[max(a - 1, 0)]
-    edged[-1, 1:-1] = plane[min(b, h - 1)]
-    edged[:, 0] = edged[:, 1]
-    edged[:, -1] = edged[:, -2]
-    row_sums = _view(sums, n, w + 2)
-    np.add(edged[:-2], edged[1:-1], out=row_sums)
-    row_sums += edged[2:]
-    np.subtract(row_sums[:, :-2], row_sums[:, 2:], out=out)
+    lo, hi = max(a - 1, 0), min(b + 1, h)
+    rows = plane[lo:hi]
+    row_sums = _view(sums, n, w)
+    _along_rows(_sum3, rows, a - lo, n, row_sums)
+    _across_columns(_difference, row_sums, out)
     out *= out
-    col_sums = _view(sums, n + 2, w)
-    np.add(edged[:, :-2], edged[:, 1:-1], out=col_sums)
-    col_sums += edged[:, 2:]
-    vertical = _view(padded, n, w)
-    np.subtract(col_sums[:-2], col_sums[2:], out=vertical)
-    vertical *= vertical
-    out += vertical
+    col_sums = _view(sums, hi - lo, w)
+    _across_columns(_sum3, rows, col_sums)
+    response = _view(vertical, n, w)
+    _along_rows(_difference, col_sums, a - lo, n, response)
+    response *= response
+    out += response
     out /= 9.0
 
 
 def _gradient_map(ref: np.ndarray, dst: np.ndarray, a: int, b: int, buffers: tuple) -> np.ndarray:
     """Gradient similarity on rows ``[a, b)``, in the sums buffer; the two maps are spent."""
-    _, sums, first, second = buffers
+    sums, _, first, second = buffers
     n, w = b - a, ref.shape[1]
     sq_ref, sq_dst = _view(first, n, w), _view(second, n, w)
     _squared_prewitt(ref, a, b, sq_ref, buffers)
@@ -206,10 +251,11 @@ def _chroma_power(product: np.ndarray, weight: float, scratch=None, out=None) ->
 
 
 # score() builds its maps over row tiles of about this many samples (128 KB
-# per map buffer), so its four buffers stay in cache. In two in-process runs,
-# 2^15 was 0-5 % faster at 270x480 and 0-4 % slower at 192x256, with twice
-# the buffers (tracemalloc peak 1.20 against 0.67 MB at 270x480); 2^13 was
-# 3-23 % slower at both sizes, and 2^16 no faster than 2^15.
+# per map buffer), so its four buffers stay in cache. In two in-process runs
+# with contiguous-row kernels (medians of 12 rounds of 21-call medians, at
+# 270x480 yiq and 192x256 lmn), 2^15 was 0-7 % slower with twice the buffers
+# (tracemalloc peak 1.06 against 0.54 MB at 270x480), 2^16 0-9 % slower, and
+# 2^13 10-16 % slower at both sizes.
 _TILE_SAMPLES = 1 << 14
 
 
@@ -238,14 +284,15 @@ def score(ref: PreprocessedChannels, dst: PreprocessedChannels) -> QualityScore:
 
     # A tile reads the luma rows beside it, so it may be one row. The
     # gradient map stays in the sums buffer; the first chroma map, then the
-    # product, takes the first map, the second, then the composite, the other.
+    # product, takes the first map, the second, then the composite, the
+    # other, and the vertical buffer is the scratch of both.
     rows = max(1, _TILE_SAMPLES // w)
-    buffers = padded, _, first, second = _buffers(min(rows, h), w)
+    buffers = _, vertical, first, second = _buffers(min(rows, h), w)
     sums = [0.0, 0.0, 0.0, 0.0]  # composite, gradient, chroma1, chroma2
     for a in range(0, h, rows):
         b = min(a + rows, h)
         composite = gradient_map = _gradient_map(*pairs[0], a, b, buffers)
-        maps = (_view(first, b - a, w), _view(second, b - a, w), _view(padded, b - a, w))
+        maps = (_view(first, b - a, w), _view(second, b - a, w), _view(vertical, b - a, w))
         product = None
         for i, pair in enumerate(pairs[1:], 2):
             if pair is not None:

@@ -239,9 +239,10 @@ def _band_rows(plan: PipelinePlan, width: int) -> int:
     doubled the time of a 4K image at M = 8. M^2 * 2^15 input samples
     were as fast but double the band's intermediates. Without the cap,
     the uint16 row sums and their float32 copy raised perfbench's full-4k
-    ``peak_mb`` to 8.01 MB; with it, the pair's second downsample-first
-    call sets the peak, at 7.05 MB (``score`` reaches 6.90 MB after it).
-    The cap leaves M <= 4 as it was.
+    ``peak_mb`` to 8.01 MB; with it, and with the band's product in the
+    same allocation as those two, the pair's second downsample-first call
+    sets the peak, at 6.85 MB (``score`` reaches 6.77 MB after it). The
+    cap leaves M <= 4 as it was.
     """
     m = plan.spec.factor
     samples = 1 << 16 if _full_resolution(plan) else min(m * m << 14, m << 16)
@@ -461,11 +462,19 @@ def _execute(plan: PipelinePlan, image: RgbImage8) -> PreprocessedChannels:
             block_sums = np.empty(len(weights) * rows_max // m * (w // m), sum_t)
     else:
         staging = np.empty(3 * rows_max // m * (w // m), sum_t)
-        product = np.empty(len(weights) * staging.size // 3, sum_t)
-        # one uint8 plane at a time: its row sums are at most 255 M, its
-        # block sums 255 M^2, summed in float32 below 2^24 into staging
-        rows = np.empty(rows_max // m * w, np.min_scalar_type(255 * m))
-        columns = np.empty(rows.size, np.float32 if 255 * m * m < 1 << 24 else np.float64)
+        # One uint8 plane at a time: its row sums are at most 255 M, its
+        # block sums 255 M^2, summed in float32 below 2^24 into staging. A
+        # band's row sums and their cast are spent before its product is
+        # written, so the three are views of one allocation, the cast first
+        # so that each view is aligned to its dtype.
+        size, products = rows_max // m * w, len(weights) * staging.size // 3
+        cast_t = np.dtype(np.float32 if 255 * m * m < 1 << 24 else np.float64)
+        integer_t, product_t = np.min_scalar_type(255 * m), np.dtype(sum_t)
+        shared = size * (cast_t.itemsize + integer_t.itemsize)
+        scratch = np.empty(max(shared, products * product_t.itemsize), np.uint8)
+        columns = scratch[: size * cast_t.itemsize].view(cast_t)
+        rows = scratch[columns.nbytes : shared].view(integer_t)
+        product = scratch[: products * product_t.itemsize].view(product_t)
     # samples converted (of one plane), block sums, and samples scaled
     n_converted = n_summed = n_scaled = 0
     for a in range(0, h, step):

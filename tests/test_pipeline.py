@@ -640,6 +640,32 @@ def test_downsample_first_never_holds_a_full_reduced_rgb_set():
     assert peak < reduced_rgb_bytes
 
 
+def test_downsample_first_shares_its_row_sum_and_product_scratch():
+    # A band's uint16 row sums and their float32 cast are spent before its
+    # product is written, so one allocation holds the three: at M = 8 a
+    # call peaks at its output planes, the staging array and the larger of
+    # (row sums and cast) and product. The 64 KiB of slack covers numpy's
+    # buffer for the uint8 reduction and small objects, 38 KB measured; an
+    # unshared product, 196 KB here, would not fit in it.
+    height, width, m = 1088, 960, 8
+    matrix = builtin_matrix("yiq")
+    plan = plan_pipeline(height, width, matrix, ALL, DownsampleSpec(m), Strategy.DOWNSAMPLE_FIRST)
+    r = pipeline._band_rows(plan, width) // m  # reduced rows of a band
+    assert height // m > r
+    sum_bytes = np.dtype(pipeline._arithmetic(plan)[1][1]).itemsize
+    outputs = 3 * (height // m) * (width // m) * 8
+    staging = product = 3 * r * (width // m) * sum_bytes
+    row_sums_and_cast = r * width * (2 + 4)
+    img = synth_image(height, width, 5)
+    tracemalloc.start()
+    try:
+        preprocess(img, matrix, ALL, Strategy.DOWNSAMPLE_FIRST, DownsampleSpec(m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs + staging + max(row_sums_and_cast, product) + 64 * 1024
+
+
 def _filled(height, width, rgb):
     return RgbImage8(height, width, *(np.full((height, width), v, dtype=np.uint8) for v in rgb))
 
