@@ -473,7 +473,7 @@ def _row_ends_plane(left, right):
         # next row's second overflows, which no sample of the map subtracts
         _row_ends_plane(-5e307, 5e307),
         # 3-row sums that overflow to inf of the same sign: that difference
-        # is inf - inf, invalid, where the map's differences are all inf - 0
+        # is inf - inf, invalid, where each the map takes is between inf and 0
         _row_ends_plane(7e307, 7e307),
     ],
     ids=["opposite", "same"],
